@@ -44,6 +44,9 @@ int Run(int argc, char** argv) {
   std::printf("%-4s | %-22s %12s %12s | %12s %12s\n", "", "algorithm", "peak", "steady",
               "paper peak", "paper steady");
 
+  // The "disk" copy: the v2 container, uncompressed.
+  SaveOptions raw;
+  raw.compress_columns = false;
   for (const PaperFig10& paper : kPaper) {
     bool selected = false;
     for (const std::string& t : opts.traces) {
@@ -53,7 +56,7 @@ int Run(int argc, char** argv) {
       continue;
     }
     BenchTrace bt = MakeBenchTrace(paper.name, opts.scale);
-    std::string file = EncodeTrace(bt.trace, SaveOptions{});
+    std::string file = EncodeTrace(bt.trace, raw);
     std::vector<CrdtOp> crdt_ops;
     {
       Walker walker(bt.trace.graph, bt.trace.ops);
@@ -93,7 +96,7 @@ int Run(int argc, char** argv) {
       std::string ot_file = file;
       if (ot_scale != opts.scale) {
         BenchTrace ot_bt = MakeBenchTrace(paper.name, ot_scale);
-        ot_file = EncodeTrace(ot_bt.trace, SaveOptions{});
+        ot_file = EncodeTrace(ot_bt.trace, raw);
       }
       std::string text;
       size_t base = CurrentBytes();

@@ -43,19 +43,18 @@ int Run(int argc, char** argv) {
     }
     BenchTrace bt = MakeBenchTrace(paper.name, opts.scale);
     uint64_t lower_bound = bt.trace.ops.total_inserted_chars();  // ASCII traces: bytes==chars.
-    uint64_t plain = EncodeTrace(bt.trace, SaveOptions{}).size();
-    SaveOptions cached;
+    // The paper's bars are uncompressed; "+ cached doc" doubles as the raw
+    // half of the at-rest pair (what DocRegistry checkpoints write, v2 with
+    // a cached final doc) that the size gate holds to >= 2x against
+    // per-column compression.
+    SaveOptions raw;
+    raw.compress_columns = false;
+    uint64_t plain = EncodeTrace(bt.trace, raw).size();
+    SaveOptions cached = raw;
     cached.cache_final_doc = true;
     uint64_t with_doc = EncodeTrace(bt.trace, cached, bt.final_text).size();
     uint64_t automerge = AutomergeLikeSize(bt.trace.graph, bt.trace.ops);
-    // The at-rest store configuration (what DocRegistry checkpoints write):
-    // v2 container with a cached final doc, measured raw and with
-    // per-column compression — the pair the size gate holds to >= 2x.
-    SaveOptions v2_raw_opts = cached;
-    v2_raw_opts.format_version = 2;
-    v2_raw_opts.compress_columns = false;
-    uint64_t v2_raw = EncodeTrace(bt.trace, v2_raw_opts, bt.final_text).size();
-    SaveOptions v2_z_opts = v2_raw_opts;
+    SaveOptions v2_z_opts = cached;
     v2_z_opts.compress_columns = true;
     uint64_t v2_z = EncodeTrace(bt.trace, v2_z_opts, bt.final_text).size();
     std::printf("%-4s | %12s %12s %12s %12s %12s %12s | %.0f / %.0f / %.0f\n", paper.name,
@@ -63,13 +62,13 @@ int Run(int argc, char** argv) {
                 FmtBytes(static_cast<double>(plain)).c_str(),
                 FmtBytes(static_cast<double>(with_doc)).c_str(),
                 FmtBytes(static_cast<double>(automerge)).c_str(),
-                FmtBytes(static_cast<double>(v2_raw)).c_str(),
+                FmtBytes(static_cast<double>(with_doc)).c_str(),
                 FmtBytes(static_cast<double>(v2_z)).c_str(), paper.eg_kib,
                 paper.eg_cached_kib, paper.automerge_kib);
     add_row(paper.name, "event graph", plain);
     add_row(paper.name, "event graph + cached doc", with_doc);
     add_row(paper.name, "automerge-like", automerge);
-    add_row(paper.name, "v2 raw", v2_raw);
+    add_row(paper.name, "v2 raw", with_doc);
     add_row(paper.name, "v2 compressed", v2_z);
   }
   return 0;

@@ -45,14 +45,13 @@ int Run(int argc, char** argv) {
     std::vector<LvSpan> surviving = ComputeSurvivingChars(bt.trace.graph, bt.trace.ops);
     SaveOptions smol;
     smol.include_deleted_content = false;
+    smol.compress_columns = false;  // The paper's bars are uncompressed.
     uint64_t ours = EncodeTrace(bt.trace, smol, {}, &surviving).size();
     uint64_t yjs = YjsLikeSize(bt.trace.graph, bt.trace.ops);
     // At-rest pair for the size gate: v2 + cached final doc (mirroring
     // Yjs-style stores, which keep the current text hot), raw vs
     // per-column compression.
     SaveOptions v2_raw_opts = smol;
-    v2_raw_opts.format_version = 2;
-    v2_raw_opts.compress_columns = false;
     v2_raw_opts.cache_final_doc = true;
     uint64_t v2_raw = EncodeTrace(bt.trace, v2_raw_opts, bt.final_text, &surviving).size();
     SaveOptions v2_z_opts = v2_raw_opts;

@@ -81,6 +81,7 @@ int Run(int argc, char** argv) {
     // --- eg-walker / OT cached load ---
     SaveOptions save;
     save.cache_final_doc = true;
+    save.compress_columns = false;
     std::string file = EncodeTrace(trace, save, bt.final_text);
     double load_ms = TimeMs(
         [&] {

@@ -62,9 +62,10 @@ int main(int argc, char** argv) {
   if (dump_sizes) {
     std::vector<LvSpan> surviving = ComputeSurvivingChars(trace.graph, trace.ops);
     SaveOptions full;
-    SaveOptions smol;
+    full.compress_columns = false;
+    SaveOptions smol = full;
     smol.include_deleted_content = false;
-    SaveOptions cached;
+    SaveOptions cached = full;
     cached.cache_final_doc = true;
     std::string text = doc.ToString();
     std::printf("\nstorage sizes (uncompressed, see Figures 11/12):\n");

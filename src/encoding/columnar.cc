@@ -15,16 +15,16 @@ namespace {
 
 constexpr char kMagic[4] = {'E', 'G', 'W', 'K'};
 constexpr char kSegmentMagic[4] = {'E', 'G', 'W', 'S'};
-// Container versions. v1 is the legacy concatenated-blob layout and is
-// frozen: its encode path below must stay byte-identical forever (the
-// format-version differential test in test_encoding.cc holds it to that).
-// v2 adds the column directory; see docs/EGWS.md.
+// Container versions. v1 is the concatenated-blob layout: read-only, with
+// decode paths kept forever and held to that by the golden files under
+// tests/fixtures/v1. v2 adds the column directory and is the only layout
+// the encoders write; see docs/EGWS.md.
 constexpr uint8_t kFormatV1 = 1;
 constexpr uint8_t kFormatV2 = 2;
 
 constexpr uint8_t kFlagContentComplete = 1 << 0;
-// v1 only: the content column is LZ4-compressed. v2 records codecs per
-// column in the directory and never sets this flag.
+// v1 only (read-only): the content column is LZ4-compressed. v2 records
+// codecs per column in the directory and never sets this flag.
 constexpr uint8_t kFlagCompressed = 1 << 1;
 constexpr uint8_t kFlagCachedDoc = 1 << 2;
 // Segments only: the header carries a walker-session anchor (critical LV +
@@ -45,7 +45,7 @@ constexpr uint8_t kColSurvival = 5;  // Full format only.
 constexpr uint8_t kMaxColId = kColSurvival;
 
 constexpr uint8_t kCodecRaw = 0;
-constexpr uint8_t kCodecLz4 = 1;
+constexpr uint8_t kCodecLz4 = 1;  // Accepted by decoders; encoders never pick it.
 constexpr uint8_t kCodecLzHuf = 2;
 constexpr uint8_t kCodecLzHufStatic = 3;  // Table-less fixed code (tiny columns).
 constexpr uint8_t kMaxCodec = kCodecLzHufStatic;
@@ -58,9 +58,8 @@ constexpr uint64_t kMaxColumnLen = 1ull << 28;  // 256 MiB
 // capped values cannot overflow uint64, so range checks stay sound.
 constexpr uint64_t kMaxCount = 1ull << 62;
 
-// Columns smaller than this skip the table-carrying codecs: LZ4's token
-// overhead beats any saving, and dynamic Huffman pays ~30-80 bytes of
-// code-length tables before the first symbol.
+// Columns smaller than this skip the dynamic Huffman code, which pays
+// ~30-80 bytes of code-length tables before the first symbol.
 constexpr size_t kCompressMinLen = 64;
 // Columns in [kStaticMinLen, kStaticTryMax) additionally try the table-less
 // static-code lzhuf variant. Below kCompressMinLen it is the only candidate
@@ -79,11 +78,6 @@ uint32_t Fnv1a(std::string_view bytes) {
     h *= 16777619u;
   }
   return h;
-}
-
-void AppendLenPrefixed(std::string& out, const std::string& column) {
-  AppendVarint(out, column.size());
-  out += column;
 }
 
 // --- v2 column block ---------------------------------------------------------
@@ -106,10 +100,10 @@ void AppendColumnBlock(std::string& out, const std::vector<ColumnSpec>& cols, bo
   for (size_t i = 0; i < cols.size(); ++i) {
     const std::string& raw = *cols[i].data;
     if (compress && raw.size() >= kStaticMinLen) {
-      // Segments compress once and decode many times, so trying every
-      // plausible codec is the right trade. Tiny columns only get the
+      // Segments compress once and decode many times, so trying both
+      // lzhuf codes is the right trade. Tiny columns only get the
       // table-less static code; mid-size columns race it against the
-      // dynamic code and LZ4 (either of which occasionally wins).
+      // dynamic code.
       std::string packed;
       uint8_t packed_codec = kCodecLzHufStatic;
       if (raw.size() < kStaticTryMax) {
@@ -120,11 +114,6 @@ void AppendColumnBlock(std::string& out, const std::vector<ColumnSpec>& cols, bo
         if (packed.empty() || dyn.size() < packed.size()) {
           packed = std::move(dyn);
           packed_codec = kCodecLzHuf;
-        }
-        std::string lz4_packed = lz4::Compress(raw);
-        if (lz4_packed.size() < packed.size()) {
-          packed = std::move(lz4_packed);
-          packed_codec = kCodecLz4;
         }
       }
       // Keep the compressed form only when it saves at least 1/8th.
@@ -290,17 +279,15 @@ bool BlockHasColumn(const std::vector<StoredColumn>& cols, uint8_t id) {
 // checkpoint segments (EncodeSegment/DecodeSegmentInto) use the same three
 // structure columns; the only difference is the window [base_lv, end_lv)
 // they cover (the full format is simply base_lv == 0). One implementation
-// serves both so the formats cannot drift apart. Both container versions
-// share them too — v1 vs v2 only changes how column bytes are framed.
+// serves both so the formats cannot drift apart. The writers emit the v2
+// column layouts only; the readers also accept the read-only v1 variants.
 
 // Column 1: operations — (type, direction, run length) headers with start
 // positions delta-coded against the cursor implied by the previous run,
 // restarting from 0 at base_lv. When `content` is non-null, the UTF-8 of
 // insert slices is appended to it in event order.
 //
-// v1 interleaves header and delta varints per run, with positions
-// delta-coded against one global cursor. v2 (`g` non-null) changes two
-// things, both aimed at the entropy coder:
+// Two layout choices aim at the entropy coder:
 //   - the column is split into two back-to-back streams (varint
 //     header-stream length, all headers, all deltas), so each stream is a
 //     homogeneous byte population;
@@ -309,44 +296,33 @@ bool BlockHasColumn(const std::vector<StoredColumn>& cols, uint8_t id) {
 //     their own location, so interleaved traces produce huge alternating
 //     global-cursor jumps but tiny per-agent ones. Cursors are
 //     column-local (all start at 0), so segments stay self-delimiting.
-void WriteOpsColumn(const OpLog& ops, Lv base_lv, Lv end_lv, std::string& ops_col,
-                    std::string* content, const Graph* g) {
-  const bool v2 = g != nullptr;
+void WriteOpsColumn(const OpLog& ops, const Graph& g, Lv base_lv, Lv end_lv,
+                    std::string& ops_col, std::string* content) {
   std::string headers;
   std::string deltas;
-  std::string& hdr = v2 ? headers : ops_col;
-  std::string& dlt = v2 ? deltas : ops_col;
-  int64_t global_cursor = 0;
-  std::unordered_map<AgentId, int64_t> cursors;  // v2 only
+  std::unordered_map<AgentId, int64_t> cursors;
   for (Lv lv = base_lv; lv < end_lv;) {
-    Lv bound = end_lv;
-    int64_t* cursor = &global_cursor;
-    if (v2) {
-      const AgentSpan& as = g->agent_spans().FindChecked(lv);
-      bound = std::min<Lv>(end_lv, as.span.end);
-      cursor = &cursors[as.agent];
-    }
-    OpSlice slice = ops.SliceAt(lv, bound);
+    const AgentSpan& as = g.agent_spans().FindChecked(lv);
+    int64_t& cursor = cursors[as.agent];
+    OpSlice slice = ops.SliceAt(lv, std::min<Lv>(end_lv, as.span.end));
     uint64_t tag = (slice.kind == OpKind::kDelete ? 1 : 0) | (slice.fwd ? 2 : 0);
-    AppendVarint(hdr, (slice.count << 2) | tag);
-    AppendVarintSigned(dlt, static_cast<int64_t>(slice.pos_start) - *cursor);
+    AppendVarint(headers, (slice.count << 2) | tag);
+    AppendVarintSigned(deltas, static_cast<int64_t>(slice.pos_start) - cursor);
     if (slice.kind == OpKind::kInsert) {
-      *cursor = static_cast<int64_t>(slice.pos_start + slice.count);
+      cursor = static_cast<int64_t>(slice.pos_start + slice.count);
       if (content != nullptr) {
         *content += slice.text;
       }
     } else if (slice.fwd) {
-      *cursor = static_cast<int64_t>(slice.pos_start);
+      cursor = static_cast<int64_t>(slice.pos_start);
     } else {
-      *cursor = static_cast<int64_t>(slice.pos_start - (slice.count - 1));
+      cursor = static_cast<int64_t>(slice.pos_start - (slice.count - 1));
     }
     lv += slice.count;
   }
-  if (v2) {
-    AppendVarint(ops_col, headers.size());
-    ops_col += headers;
-    ops_col += deltas;
-  }
+  AppendVarint(ops_col, headers.size());
+  ops_col += headers;
+  ops_col += deltas;
 }
 
 // Column 2: parents — one record per graph run clipped to the window;
@@ -373,13 +349,12 @@ void WriteParentsColumn(const Graph& g, Lv base_lv, Lv end_lv, std::string& col)
 // translates interned AgentIds to column indexes (nullptr = identity, for
 // the full format whose table holds every agent in id order).
 //
-// v1 stores each run's absolute start seq. v2 stores it zigzag-coded
-// against the agent's column-local continuation (the end of its previous
-// run in this window, or 0 for its first run): agents almost always
-// continue where they left off, so the delta stream is nearly all zeros.
+// Each run's start seq is zigzag-coded against the agent's column-local
+// continuation (the end of its previous run in this window, or 0 for its
+// first run): agents almost always continue where they left off, so the
+// delta stream is nearly all zeros.
 void WriteAgentsColumn(const Graph& g, Lv base_lv, Lv end_lv,
-                       const std::unordered_map<AgentId, uint32_t>* remap, std::string& col,
-                       bool v2) {
+                       const std::unordered_map<AgentId, uint32_t>* remap, std::string& col) {
   std::unordered_map<uint64_t, uint64_t> expected;  // column agent idx -> next seq
   for (Lv lv = base_lv; lv < end_lv;) {
     const AgentSpan& as = g.agent_spans().FindChecked(lv);
@@ -388,14 +363,10 @@ void WriteAgentsColumn(const Graph& g, Lv base_lv, Lv end_lv,
     uint64_t seq = as.seq_start + (lv - as.span.start);
     AppendVarint(col, idx);
     AppendVarint(col, len);
-    if (v2) {
-      auto it = expected.find(idx);
-      uint64_t exp = it == expected.end() ? 0 : it->second;
-      AppendVarintSigned(col, static_cast<int64_t>(seq) - static_cast<int64_t>(exp));
-      expected[idx] = seq + len;
-    } else {
-      AppendVarint(col, seq);
-    }
+    auto it = expected.find(idx);
+    uint64_t exp = it == expected.end() ? 0 : it->second;
+    AppendVarintSigned(col, static_cast<int64_t>(seq) - static_cast<int64_t>(exp));
+    expected[idx] = seq + len;
     lv = as.span.end;
   }
 }
@@ -695,18 +666,14 @@ std::vector<LvSpan> ComputeSurvivingChars(const Graph& graph, const OpLog& ops) 
 std::string EncodeTrace(const Trace& trace, const SaveOptions& options,
                         std::string_view final_doc, const std::vector<LvSpan>* surviving) {
   EGW_CHECK(options.include_deleted_content || surviving != nullptr);
-  EGW_CHECK(options.format_version == 1 || options.format_version == 2);
-  const bool v2 = options.format_version == 2;
+  EGW_CHECK(options.format_version == kFormatV2);
 
   std::string out;
   out.append(kMagic, sizeof(kMagic));
-  out.push_back(static_cast<char>(v2 ? kFormatV2 : kFormatV1));
+  out.push_back(static_cast<char>(kFormatV2));
   uint8_t flags = 0;
   if (options.include_deleted_content) {
     flags |= kFlagContentComplete;
-  }
-  if (!v2 && options.compress_content) {
-    flags |= kFlagCompressed;
   }
   if (options.cache_final_doc) {
     flags |= kFlagCachedDoc;
@@ -727,13 +694,12 @@ std::string EncodeTrace(const Trace& trace, const SaveOptions& options,
   // ops walk; the survival-filtered content is built separately below.
   std::string ops_col;
   std::string content;
-  WriteOpsColumn(trace.ops, 0, trace.graph.size(), ops_col,
-                 options.include_deleted_content ? &content : nullptr,
-                 v2 ? &trace.graph : nullptr);
+  WriteOpsColumn(trace.ops, trace.graph, 0, trace.graph.size(), ops_col,
+                 options.include_deleted_content ? &content : nullptr);
   std::string parents_col;
   WriteParentsColumn(trace.graph, 0, trace.graph.size(), parents_col);
   std::string agents_col;
-  WriteAgentsColumn(trace.graph, 0, trace.graph.size(), nullptr, agents_col, v2);
+  WriteAgentsColumn(trace.graph, 0, trace.graph.size(), nullptr, agents_col);
 
   // Column 4 (optional): survival spans, when deleted content is omitted.
   std::string survival_col;
@@ -783,42 +749,17 @@ std::string EncodeTrace(const Trace& trace, const SaveOptions& options,
     }
   }
 
-  if (v2) {
-    std::string cached(final_doc);
-    std::vector<ColumnSpec> cols = {
-        {kColOps, &ops_col}, {kColParents, &parents_col}, {kColAgents, &agents_col}};
-    if (!options.include_deleted_content) {
-      cols.push_back({kColSurvival, &survival_col});
-    }
-    cols.push_back({kColContent, &content});
-    if (options.cache_final_doc) {
-      cols.push_back({kColCachedDoc, &cached});
-    }
-    AppendColumnBlock(out, cols, options.compress_columns);
-    return out;
-  }
-
-  // --- v1 (frozen layout) ---
-  AppendLenPrefixed(out, ops_col);
-  AppendLenPrefixed(out, parents_col);
-  AppendLenPrefixed(out, agents_col);
+  std::string cached(final_doc);
+  std::vector<ColumnSpec> cols = {
+      {kColOps, &ops_col}, {kColParents, &parents_col}, {kColAgents, &agents_col}};
   if (!options.include_deleted_content) {
-    AppendLenPrefixed(out, survival_col);
+    cols.push_back({kColSurvival, &survival_col});
   }
-  AppendVarint(out, content.size());
-  if (options.compress_content) {
-    std::string compressed = lz4::Compress(content);
-    AppendVarint(out, compressed.size());
-    out += compressed;
-  } else {
-    out += content;
-  }
-
-  // Column 6 (optional): cached final document.
+  cols.push_back({kColContent, &content});
   if (options.cache_final_doc) {
-    AppendVarint(out, final_doc.size());
-    out += final_doc;
+    cols.push_back({kColCachedDoc, &cached});
   }
+  AppendColumnBlock(out, cols, options.compress_columns);
   return out;
 }
 
@@ -969,8 +910,7 @@ std::string EncodeSegment(const Trace& trace, Lv base_lv, const SaveOptions& opt
   // Survival bitmaps are whole-trace properties; a chain cannot compose
   // them, so segments always carry deleted content.
   EGW_CHECK(options.include_deleted_content);
-  EGW_CHECK(options.format_version == 1 || options.format_version == 2);
-  const bool v2 = options.format_version == 2;
+  EGW_CHECK(options.format_version == kFormatV2);
   const Graph& g = trace.graph;
   const OpLog& ops = trace.ops;
   EGW_CHECK(base_lv <= g.size());
@@ -983,11 +923,8 @@ std::string EncodeSegment(const Trace& trace, Lv base_lv, const SaveOptions& opt
 
   std::string out;
   out.append(kSegmentMagic, sizeof(kSegmentMagic));
-  out.push_back(static_cast<char>(v2 ? kFormatV2 : kFormatV1));
+  out.push_back(static_cast<char>(kFormatV2));
   uint8_t flags = kFlagContentComplete;
-  if (!v2 && options.compress_content) {
-    flags |= kFlagCompressed;
-  }
   if (options.cache_final_doc) {
     flags |= kFlagCachedDoc;
   }
@@ -1010,8 +947,8 @@ std::string EncodeSegment(const Trace& trace, Lv base_lv, const SaveOptions& opt
   }
 
   // Segment-local agent table: only agents authoring events in the window.
-  // (Parents are LV deltas and never name agents.) v2 additionally records
-  // each agent's seq extent — within any LV window an agent's events are
+  // (Parents are LV deltas and never name agents.) Each agent's seq extent
+  // rides along — within any LV window an agent's events are
   // seq-contiguous, so (first_seq, count) per agent lets PeekSegment answer
   // "does this segment touch agent A's seqs [a, b)?" from the header.
   std::vector<AgentId> agent_table;
@@ -1037,10 +974,8 @@ std::string EncodeSegment(const Trace& trace, Lv base_lv, const SaveOptions& opt
     const std::string& name = g.AgentName(agent_table[i]);
     AppendVarint(out, name.size());
     out += name;
-    if (v2) {
-      AppendVarint(out, agent_extents[i].first);
-      AppendVarint(out, agent_extents[i].second);
-    }
+    AppendVarint(out, agent_extents[i].first);
+    AppendVarint(out, agent_extents[i].second);
   }
 
   // Columns 1-3 (shared walkers, clipped to the window). A run straddling
@@ -1048,45 +983,21 @@ std::string EncodeSegment(const Trace& trace, Lv base_lv, const SaveOptions& opt
   // chain prefix; the ops cursor restarts from 0 at the segment boundary.
   std::string ops_col;
   std::string content;
-  WriteOpsColumn(ops, base_lv, end_lv, ops_col, &content, v2 ? &g : nullptr);
+  WriteOpsColumn(ops, g, base_lv, end_lv, ops_col, &content);
   std::string parents_col;
   WriteParentsColumn(g, base_lv, end_lv, parents_col);
   std::string agents_col;
-  WriteAgentsColumn(g, base_lv, end_lv, &agent_index, agents_col, v2);
+  WriteAgentsColumn(g, base_lv, end_lv, &agent_index, agents_col);
 
-  if (v2) {
-    std::string cached(final_doc);
-    std::vector<ColumnSpec> cols = {{kColOps, &ops_col},
-                                    {kColParents, &parents_col},
-                                    {kColAgents, &agents_col},
-                                    {kColContent, &content}};
-    if (options.cache_final_doc) {
-      cols.push_back({kColCachedDoc, &cached});
-    }
-    AppendColumnBlock(out, cols, options.compress_columns);
-    return out;
-  }
-
-  // --- v1 (frozen layout) ---
-  AppendLenPrefixed(out, ops_col);
-  AppendLenPrefixed(out, parents_col);
-  AppendLenPrefixed(out, agents_col);
-
-  // Column 4: inserted content of the window.
-  AppendVarint(out, content.size());
-  if (options.compress_content) {
-    std::string compressed = lz4::Compress(content);
-    AppendVarint(out, compressed.size());
-    out += compressed;
-  } else {
-    out += content;
-  }
-
-  // Column 5 (optional): cached document at the segment's end version.
+  std::string cached(final_doc);
+  std::vector<ColumnSpec> cols = {{kColOps, &ops_col},
+                                  {kColParents, &parents_col},
+                                  {kColAgents, &agents_col},
+                                  {kColContent, &content}};
   if (options.cache_final_doc) {
-    AppendVarint(out, final_doc.size());
-    out += final_doc;
+    cols.push_back({kColCachedDoc, &cached});
   }
+  AppendColumnBlock(out, cols, options.compress_columns);
   return out;
 }
 

@@ -6,9 +6,9 @@
 //      length) tuples with varint fields — "the first 23 events are
 //      insertions at consecutive indexes starting from index 0, ...".
 //   2. Content: the UTF-8 of all inserted characters, concatenated in event
-//      order and LZ4-compressed. Optionally the content of characters that
-//      were later deleted is omitted (with a survival bitmap), which is the
-//      Figure 12 configuration.
+//      order. Optionally the content of characters that were later deleted
+//      is omitted (with a survival bitmap), which is the Figure 12
+//      configuration.
 //   3. Parents: one record per graph run; runs of the "parent = predecessor"
 //      default cost two varints, explicit parent lists appear only at
 //      branch/merge points.
@@ -21,18 +21,18 @@
 // implicit from the run encoding. The format round-trips Trace exactly
 // (except omitted deleted content, which decodes as U+FFFD placeholders).
 //
-// Two container versions exist (docs/EGWS.md is the full spec):
+// Two container versions exist (docs/EGWS.md is the full spec). The
+// encoders write v2 only; the decoders read both, forever:
 //
-//   v1 (legacy): columns are concatenated length-prefixed blobs; only the
-//      content column may be LZ4-compressed (SaveOptions::compress_content).
-//      Kept byte-for-byte stable — decoders accept it forever, and encoders
-//      still emit it when SaveOptions::format_version == 1 (the default for
-//      the full file format, so Figure 8/11/12 baselines are unchanged).
+//   v1 (legacy, read-only): columns are concatenated length-prefixed
+//      blobs; only the content column may be LZ4-compressed. Golden v1
+//      files under tests/fixtures/v1 keep the decoders honest.
 //   v2 (indexed): after the header, a column DIRECTORY records, per column,
 //      {column id, codec id (raw | LZ4 | LZ+Huffman | static LZ+Huffman),
-//      raw size, stored size,
-//      byte offset, FNV-1a checksum of the stored bytes}, and payloads
-//      follow. Segment headers additionally carry per-agent seq extents,
+//      raw size, stored size, byte offset, FNV-1a checksum of the stored
+//      bytes}, and payloads follow. The encoders pick raw or one of the two
+//      LZ+Huffman codes per column; LZ4 columns are only ever read. Segment
+//      headers additionally carry per-agent seq extents,
 //      the ops column splits its header/delta streams and delta-codes
 //      positions per agent, and the agents column delta-codes seqs against
 //      each agent's column-local continuation. The directory is what
@@ -63,10 +63,6 @@ struct SaveOptions {
   // Store the content of characters that no longer appear in the final
   // document. Disabling this mirrors Yjs's storage model (Figure 12).
   bool include_deleted_content = true;
-  // Format v1 only: LZ4-compress the content column (the paper disables
-  // this for the like-for-like size comparison in Figures 11/12, so benches
-  // do too). v2 compresses per column via compress_columns instead.
-  bool compress_content = false;
   // Append the final document text so loads need no replay.
   bool cache_final_doc = false;
   // Segments only: record the document's newest critical version (the
@@ -82,16 +78,14 @@ struct SaveOptions {
   // carrying it would pay O(session) bytes for nothing; DocRegistry sets
   // it on eviction (retiring) flushes alone.
   bool checkpoint_session_state = false;
-  // Container version to WRITE; decoders accept both. 1 = legacy layout,
-  // byte-identical to pre-directory encoders. 2 = indexed layout (column
-  // directory + checksums + agent extents), required for per-column
-  // compression and lazy decode. The full-format default stays 1 so
-  // existing size/load baselines are unaffected; DocRegistry's checkpoint
-  // options opt segments into 2.
-  int format_version = 1;
-  // Format v2 only: LZ4-compress each column whose compressed form is
-  // meaningfully smaller (tiny columns stay raw — see the codec heuristic
-  // in columnar.cc). Ignored by v1, which only honours compress_content.
+  // Container version to write. 2 (the indexed layout) is the only value
+  // the encoders accept; they EGW_CHECK it. Kept only because the egbench
+  // harness assigns it; delete it once the harness stops doing so.
+  int format_version = 2;
+  // Compress each column with LZ+Huffman (src/lzhuf) when that saves at
+  // least 1/8 of its bytes; tiny columns stay raw (see the codec heuristic
+  // in columnar.cc). The paper's like-for-like size comparison (Figures
+  // 11/12 "event graph") turns this off.
   bool compress_columns = true;
 };
 
@@ -200,7 +194,8 @@ struct SegmentAgentExtent {
 // lazy-decode savings without touching payloads.
 struct SegmentColumn {
   uint8_t id = 0;           // kCol* in columnar.cc / docs/EGWS.md.
-  uint8_t codec = 0;        // 0 = raw, 1 = LZ4, 2 = LZ+Huffman, 3 = static LZ+Huffman.
+  uint8_t codec = 0;        // 0 = raw, 1 = LZ4 (read only), 2 = LZ+Huffman,
+                            // 3 = static LZ+Huffman.
   uint64_t raw_size = 0;    // Decompressed byte length.
   uint64_t stored_size = 0; // Byte length inside the container.
 };

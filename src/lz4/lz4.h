@@ -1,15 +1,16 @@
 // An LZ4 block-format codec, implemented from scratch.
 //
 // Section 3.8 of the paper LZ4-compresses the inserted-content column of the
-// event-graph file format. This module provides a compatible block
-// compressor (hash-chain matcher with lazy evaluation, the HC strategy) and
-// a bounds-checked decompressor. The compressed framing (where sizes live)
-// is up to the caller; the columnar encoder stores the decompressed size as
-// a varint next to the block.
+// event-graph file format. Here the columnar encoder's per-column codec is
+// lzhuf; LZ4 is read only, by the decoders of v1 content columns and of
+// codec-1 v2 columns. This module provides the bounds-checked decompressor
+// those paths use, a compatible block compressor (hash-chain matcher with
+// lazy evaluation, the HC strategy) that library code does not call, and
+// the shared matcher.
 //
 // The match search is exposed separately as Parse(): the lzhuf codec
-// (lzhuf/lzhuf.h) entropy-codes the same LZ step stream instead of emitting
-// block format, so both codecs share one matcher.
+// (lzhuf/lzhuf.h) entropy-codes the LZ step stream instead of emitting
+// block format.
 
 #ifndef EGWALKER_LZ4_LZ4_H_
 #define EGWALKER_LZ4_LZ4_H_
@@ -39,7 +40,8 @@ std::vector<LzStep> Parse(std::string_view src);
 // Worst-case compressed size for `src_size` input bytes.
 size_t MaxCompressedSize(size_t src_size);
 
-// Compresses `src` into LZ4 block format.
+// Compresses `src` into LZ4 block format. Only the egbench harness and
+// tests call it; remove it once the harness stops timing it.
 std::string Compress(std::string_view src);
 
 // Decompresses an LZ4 block produced by Compress (or any valid LZ4 block).

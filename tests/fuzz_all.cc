@@ -39,6 +39,7 @@
 #include "crdt/ref_crdt.h"
 #include "ot/ot.h"
 #include "sync/patch.h"
+#include "testing/fixtures.h"
 #include "testing/random_trace.h"
 #include "trace/generate.h"
 
@@ -188,22 +189,44 @@ bool CheckHostilePreset(uint64_t seed) {
   return true;
 }
 
-// Fail-closed decoder: a genuine multi-segment chain (mixed v1/v2 layouts,
-// codec and cached-doc choices per segment, real concurrent merges) must
-// load byte-identically when pristine, and arbitrary corruption —
-// truncation, bit flips, overwrites, length inflation — must never crash
-// PeekSegment, DecodeSegmentInto, or Doc::LoadChain. A mutated chain that
-// still decodes (flips in v1 content bytes are not checksummed) only has to
-// produce a well-formed document.
+// Fail-closed decoder: a genuine multi-segment chain (codec and cached-doc
+// choices per segment, real concurrent merges) must load byte-identically
+// when pristine, and arbitrary corruption — truncation, bit flips,
+// overwrites, length inflation — must never crash PeekSegment,
+// DecodeSegmentInto, or Doc::LoadChain. Encoders write only v2, so v1
+// segments come from the golden fixture chain (LZ4 content, session
+// checkpoint): on 40% of the seeds the chain starts with a prefix of it,
+// on 20% with the same chain behind a v2 head (a lazily skipped v2 prefix
+// followed by eager v1 decoding), and both replicas load that prefix and
+// keep editing before v2 segments follow. The other 40% stay all-v2. A
+// mutated chain that still decodes (flips in v1 content bytes are not
+// checksummed) only has to produce a well-formed document.
 bool CheckSegmentCorruption(uint64_t seed) {
+  static const std::vector<std::string> kV1Chain = testing::V1FixtureChain();
+  static const std::vector<std::string> kV2HeadChain = testing::V2HeadV1TailChain();
   Prng rng(seed ^ 0xc0441);
-  Doc a("fuzz-a");
-  Doc b("fuzz-b");
   std::vector<std::string> chain;
-  Lv checkpoint = 0;
+  std::optional<Doc> a;
+  std::optional<Doc> b;
+  const uint64_t start = rng.Below(10);
+  if (start < 6) {
+    const std::vector<std::string>& fixture = start < 4 ? kV1Chain : kV2HeadChain;
+    chain.assign(fixture.begin(), fixture.begin() + 1 + rng.Below(fixture.size()));
+    a = Doc::LoadChain(chain, "fuzz-a");
+    b = Doc::LoadChain(chain, "fuzz-b");
+    if (!a.has_value() || !b.has_value()) {
+      std::fprintf(stderr, "V1 FIXTURE CHAIN LOAD FAILED seed=%llu\n",
+                   static_cast<unsigned long long>(seed));
+      return false;
+    }
+  } else {
+    a.emplace("fuzz-a");
+    b.emplace("fuzz-b");
+  }
+  Lv checkpoint = a->end_lv();
   const int rounds = 6 + static_cast<int>(rng.Below(6));
   for (int round = 0; round < rounds; ++round) {
-    for (Doc* d : {&a, &b}) {
+    for (Doc* d : {&*a, &*b}) {
       uint64_t len = d->size();
       if (len > 6 && rng.Chance(0.3)) {
         d->Delete(rng.Below(len - 2), 1 + rng.Below(2));
@@ -213,23 +236,30 @@ bool CheckSegmentCorruption(uint64_t seed) {
       }
     }
     if (rng.Chance(0.5)) {
-      a.MergeFrom(b);
-      b.MergeFrom(a);
+      a->MergeFrom(*b);
+      b->MergeFrom(*a);
     }
     if (rng.Chance(0.5) || round + 1 == rounds) {
       SaveOptions opts;
       opts.include_deleted_content = true;
-      opts.format_version = rng.Chance(0.3) ? 1 : 2;
       opts.compress_columns = rng.Chance(0.7);
       opts.cache_final_doc = round + 1 == rounds || rng.Chance(0.5);
-      chain.push_back(a.SaveSegment(checkpoint, opts));
-      checkpoint = a.end_lv();
+      chain.push_back(a->SaveSegment(checkpoint, opts));
+      checkpoint = a->end_lv();
     }
   }
-  const std::string expected = a.Text();
+  const std::string expected = a->Text();
   auto pristine = Doc::LoadChain(chain, "fuzz-a");
   if (!pristine.has_value() || pristine->Text() != expected) {
     std::fprintf(stderr, "SEGMENT CHAIN RELOAD MISMATCH seed=%llu\n",
+                 static_cast<unsigned long long>(seed));
+    return false;
+  }
+  // Hydrating the lazily skipped prefix must reproduce the document.
+  auto resaved = Doc::Load(pristine->Save(), "fuzz-check");
+  if (pristine->hydrated_segments() != pristine->lazy_segments_skipped() ||
+      !resaved.has_value() || resaved->Text() != expected) {
+    std::fprintf(stderr, "SEGMENT CHAIN HYDRATION MISMATCH seed=%llu\n",
                  static_cast<unsigned long long>(seed));
     return false;
   }

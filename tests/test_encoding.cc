@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/doc.h"
 #include "core/walker.h"
+#include "testing/fixtures.h"
 #include "testing/random_trace.h"
+#include "testing/trace_dump.h"
 #include "trace/generate.h"
 
 namespace egwalker {
@@ -59,30 +62,20 @@ TEST(Columnar, RoundTripConcurrentWithUnicode) {
   ExpectTracesEquivalent(t, decoded->trace);
 }
 
-TEST(Columnar, RoundTripWithCompression) {
-  Trace t = GenerateNamedTrace("S2", 0.005);
-  SaveOptions opts;
-  opts.compress_content = true;
-  std::string compressed = EncodeTrace(t, opts);
-  std::string plain = EncodeTrace(t, SaveOptions{});
-  EXPECT_LT(compressed.size(), plain.size());
-  auto decoded = DecodeTrace(compressed);
-  ASSERT_TRUE(decoded.has_value());
-  ExpectTracesEquivalent(t, decoded->trace);
-}
-
 TEST(Columnar, CachedFinalDoc) {
   Trace t = GenerateNamedTrace("C2", 0.002);
   std::string final_doc = Replay(t);
-  SaveOptions opts;
+  SaveOptions raw;
+  raw.compress_columns = false;
+  SaveOptions opts = raw;
   opts.cache_final_doc = true;
   std::string bytes = EncodeTrace(t, opts, final_doc);
   auto decoded = DecodeTrace(bytes);
   ASSERT_TRUE(decoded.has_value());
   ASSERT_TRUE(decoded->cached_doc.has_value());
   EXPECT_EQ(*decoded->cached_doc, final_doc);
-  // Caching costs roughly the document size.
-  std::string without = EncodeTrace(t, SaveOptions{});
+  // Uncompressed, caching costs roughly the document size.
+  std::string without = EncodeTrace(t, raw);
   EXPECT_NEAR(static_cast<double>(bytes.size()),
               static_cast<double>(without.size() + final_doc.size()), 16.0);
 }
@@ -110,9 +103,23 @@ TEST(Columnar, RandomTracesRoundTrip) {
     ropts.seed = seed;
     ropts.actions = 60;
     Trace t = testing::MakeRandomTrace(ropts);
-    auto decoded = DecodeTrace(EncodeTrace(t, SaveOptions{}));
-    ASSERT_TRUE(decoded.has_value()) << seed;
-    ExpectTracesEquivalent(t, decoded->trace);
+    const std::string final_doc = Replay(t);
+    for (bool compress : {false, true}) {
+      for (bool cache : {false, true}) {
+        SaveOptions opts;
+        opts.compress_columns = compress;
+        opts.cache_final_doc = cache;
+        std::string bytes = EncodeTrace(t, opts, cache ? final_doc : std::string_view{});
+        auto decoded = DecodeTrace(bytes);
+        ASSERT_TRUE(decoded.has_value()) << seed << " compress=" << compress;
+        ExpectTracesEquivalent(t, decoded->trace);
+        EXPECT_EQ(decoded->cached_doc.has_value(), cache) << seed;
+        if (cache) {
+          EXPECT_EQ(decoded->cached_doc, final_doc) << seed;
+          EXPECT_EQ(ReadCachedDoc(bytes), final_doc) << seed;
+        }
+      }
+    }
 
     // Also with deleted content omitted.
     std::vector<LvSpan> surviving = ComputeSurvivingChars(t.graph, t.ops);
@@ -120,7 +127,7 @@ TEST(Columnar, RandomTracesRoundTrip) {
     small_opts.include_deleted_content = false;
     auto decoded_small = DecodeTrace(EncodeTrace(t, small_opts, {}, &surviving));
     ASSERT_TRUE(decoded_small.has_value()) << seed;
-    EXPECT_EQ(Replay(decoded_small->trace), Replay(t)) << seed;
+    EXPECT_EQ(Replay(decoded_small->trace), final_doc) << seed;
   }
 }
 
@@ -144,7 +151,10 @@ TEST(Columnar, RejectsCorruptInput) {
 
 TEST(Columnar, MetadataOverheadIsSmallOnSequentialTraces) {
   Trace t = GenerateNamedTrace("S2", 0.01);
-  std::string bytes = EncodeTrace(t, SaveOptions{});
+  // Uncompressed, so the bound measures the metadata encoding itself.
+  SaveOptions raw;
+  raw.compress_columns = false;
+  std::string bytes = EncodeTrace(t, raw);
   // Paper Section 4.5: file sizes are dominated by the inserted text; the
   // graph/ops metadata for a sequential trace is a small fraction.
   EXPECT_LT(static_cast<double>(bytes.size()),
@@ -161,9 +171,8 @@ TEST(Columnar, ReadCachedDocSkipsEverythingElse) {
   ASSERT_TRUE(text.has_value());
   EXPECT_EQ(*text, final_doc);
 
-  // Also with compressed content and omitted deleted content in the file.
+  // Also with omitted deleted content in the file.
   std::vector<LvSpan> surviving = ComputeSurvivingChars(t.graph, t.ops);
-  opts.compress_content = true;
   opts.include_deleted_content = false;
   bytes = EncodeTrace(t, opts, final_doc, &surviving);
   text = ReadCachedDoc(bytes);
@@ -180,60 +189,20 @@ TEST(Columnar, ReadCachedDocSkipsEverythingElse) {
 
 // --- Indexed (v2) container ------------------------------------------------
 
-TEST(ColumnarV2, FullFormatDifferentialAgainstV1) {
-  // The v2 container must decode to exactly the document the frozen v1
-  // layout holds, for every option mix — the format-version differential
-  // the compat contract rests on.
-  for (uint64_t seed = 81; seed <= 86; ++seed) {
-    testing::RandomTraceOptions ropts;
-    ropts.seed = seed;
-    ropts.actions = 60;
-    Trace t = testing::MakeRandomTrace(ropts);
-    std::string final_doc = Replay(t);
-    for (bool compress : {false, true}) {
-      for (bool cache : {false, true}) {
-        SaveOptions v1;
-        v1.cache_final_doc = cache;
-        SaveOptions v2 = v1;
-        v2.format_version = 2;
-        v2.compress_columns = compress;
-        std::string v1_bytes = EncodeTrace(t, v1, cache ? final_doc : std::string_view{});
-        std::string v2_bytes = EncodeTrace(t, v2, cache ? final_doc : std::string_view{});
-        auto d1 = DecodeTrace(v1_bytes);
-        auto d2 = DecodeTrace(v2_bytes);
-        ASSERT_TRUE(d1.has_value()) << seed;
-        ASSERT_TRUE(d2.has_value()) << seed << " compress=" << compress;
-        ExpectTracesEquivalent(d1->trace, d2->trace);
-        EXPECT_EQ(d1->cached_doc, d2->cached_doc) << seed;
-        EXPECT_EQ(Replay(d2->trace), final_doc) << seed;
-        if (cache) {
-          auto text = ReadCachedDoc(v2_bytes);
-          ASSERT_TRUE(text.has_value()) << seed;
-          EXPECT_EQ(*text, final_doc) << seed;
-        }
-      }
-    }
-  }
-}
-
 TEST(ColumnarV2, CompressedColumnsShrinkFiles) {
   Trace t = GenerateNamedTrace("S2", 0.01);
   SaveOptions raw;
-  raw.format_version = 2;
   raw.compress_columns = false;
-  SaveOptions lz4 = raw;
-  lz4.compress_columns = true;
   std::string raw_bytes = EncodeTrace(t, raw);
-  std::string lz4_bytes = EncodeTrace(t, lz4);
-  EXPECT_LT(lz4_bytes.size(), raw_bytes.size());
-  auto decoded = DecodeTrace(lz4_bytes);
+  std::string packed_bytes = EncodeTrace(t, SaveOptions{});
+  EXPECT_LT(packed_bytes.size(), raw_bytes.size());
+  auto decoded = DecodeTrace(packed_bytes);
   ASSERT_TRUE(decoded.has_value());
   ExpectTracesEquivalent(t, decoded->trace);
 }
 
 TEST(ColumnarV2, RoundTripEdgeCases) {
   SaveOptions v2;
-  v2.format_version = 2;
 
   // Empty trace: every column is empty.
   {
@@ -283,7 +252,6 @@ TEST(SegmentV2, PeekReportsDirectoryAndExtents) {
   t.AppendInsert(a, {}, 0, "hello ");
   t.AppendInsert(b, t.graph.version(), 6, "world");
   SaveOptions v2;
-  v2.format_version = 2;
   v2.cache_final_doc = true;
   std::string seg = EncodeSegment(t, 0, v2, "hello world");
   auto info = PeekSegment(seg);
@@ -301,22 +269,16 @@ TEST(SegmentV2, PeekReportsDirectoryAndExtents) {
   EXPECT_FALSE(info->columns.empty());
   uint64_t stored = 0;
   for (const SegmentColumn& col : info->columns) {
-    EXPECT_LE(col.codec, 3u);  // raw, LZ4, LZ+Huffman, or static LZ+Huffman.
+    EXPECT_NE(col.codec, 1u);  // Raw, LZ+Huffman or static LZ+Huffman: never LZ4.
+    EXPECT_LE(col.codec, 3u);
     stored += col.stored_size;
   }
   EXPECT_LE(stored, seg.size());
-
-  // v1 segments report an empty directory.
-  auto v1_info = PeekSegment(EncodeSegment(t, 0, SaveOptions{}));
-  ASSERT_TRUE(v1_info.has_value());
-  EXPECT_EQ(v1_info->format_version, 1);
-  EXPECT_TRUE(v1_info->columns.empty());
 }
 
 TEST(SegmentV2, ChecksumCatchesEveryPayloadByteFlip) {
   Trace t = GenerateNamedTrace("S1", 0.004);
   SaveOptions v2;
-  v2.format_version = 2;
   v2.cache_final_doc = true;
   std::string final_doc = Replay(t);
   std::string seg = EncodeSegment(t, 0, v2, final_doc);
@@ -346,7 +308,6 @@ TEST(SegmentV2, ChecksumCatchesEveryPayloadByteFlip) {
 TEST(SegmentV2, RejectsTruncationAndBitFlipsWithoutCrashing) {
   Trace t = GenerateNamedTrace("S1", 0.003);
   SaveOptions v2;
-  v2.format_version = 2;
   v2.cache_final_doc = true;
   std::string seg = EncodeSegment(t, 0, v2, Replay(t));
 
@@ -380,7 +341,6 @@ TEST(SegmentV2, TrailingGarbageIsRejected) {
   AgentId a = t.graph.GetOrCreateAgent("alice");
   t.AppendInsert(a, {}, 0, "payload");
   SaveOptions v2;
-  v2.format_version = 2;
   std::string seg = EncodeSegment(t, 0, v2);
   seg.push_back('\0');
   EXPECT_FALSE(PeekSegment(seg).has_value());
@@ -391,13 +351,229 @@ TEST(SegmentV2, TrailingGarbageIsRejected) {
   EXPECT_FALSE(error.empty());
 }
 
+TEST(ColumnarV2, EncodersRejectEveryOtherFormatVersion) {
+  Trace t;
+  AgentId a = t.graph.GetOrCreateAgent("alice");
+  t.AppendInsert(a, {}, 0, "v1 is read-only");
+  for (int version : {0, 1, 3}) {
+    SaveOptions opts;
+    opts.format_version = version;
+    EXPECT_DEATH(EncodeTrace(t, opts), "format_version") << version;
+    EXPECT_DEATH(EncodeSegment(t, 0, opts), "format_version") << version;
+  }
+}
+
+TEST(ColumnarV2, EncodersNeverWriteLz4Columns) {
+  // LZ4 is decode-only: no column of a whole or a tail segment picks it,
+  // on the paper's trace shapes or on random concurrent histories.
+  std::vector<Trace> traces;
+  for (const char* name : {"S1", "S2", "S3", "C1", "C2", "A1", "A2"}) {
+    traces.push_back(GenerateNamedTrace(name, 0.003));
+  }
+  for (uint64_t seed = 81; seed <= 86; ++seed) {
+    testing::RandomTraceOptions ropts;
+    ropts.seed = seed;
+    traces.push_back(testing::MakeRandomTrace(ropts));
+  }
+  SaveOptions opts;
+  opts.cache_final_doc = true;
+  for (const Trace& t : traces) {
+    const std::string text = Replay(t);
+    for (Lv base : {Lv{0}, t.graph.size() / 2}) {
+      auto info = PeekSegment(EncodeSegment(t, base, opts, text));
+      ASSERT_TRUE(info.has_value());
+      for (const SegmentColumn& col : info->columns) {
+        EXPECT_NE(col.codec, 1u) << "column " << int{col.id} << " at base " << base;
+      }
+    }
+  }
+}
+
+// --- Golden v1 files and LZ4-coded v2 columns: decoders read them forever ---
+
+TEST(V1Fixtures, TraceFilesDecodeToTheirExpectedTrace) {
+  const std::string dump = testing::ReadFixture("v1/trace.dump");
+  const std::string text = testing::ReadFixture("v1/trace.txt");
+  for (const char* name : {"v1/trace.egwk", "v1/trace-lz4.egwk", "v1/trace-cached.egwk"}) {
+    const std::string bytes = testing::ReadFixture(name);
+    ASSERT_EQ(bytes[4], 1) << name;  // Container version.
+    std::string error;
+    auto decoded = DecodeTrace(bytes, &error);
+    ASSERT_TRUE(decoded.has_value()) << name << ": " << error;
+    EXPECT_TRUE(decoded->content_complete) << name;
+    EXPECT_EQ(testing::DumpTrace(decoded->trace), dump) << name;
+    EXPECT_EQ(Replay(decoded->trace), text) << name;
+  }
+
+  const std::string cached = testing::ReadFixture("v1/trace-cached.egwk");
+  EXPECT_EQ(DecodeTrace(cached)->cached_doc, text);
+  EXPECT_EQ(ReadCachedDoc(cached), text);
+  EXPECT_FALSE(ReadCachedDoc(testing::ReadFixture("v1/trace.egwk")).has_value());
+  auto doc = Doc::Load(cached, "reader");
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(doc->Text(), text);
+  EXPECT_EQ(doc->replayed_events(), 0u);
+}
+
+TEST(V1Fixtures, SurvivalFileDecodesDeletedContentAsPlaceholders) {
+  std::string error;
+  auto decoded = DecodeTrace(testing::ReadFixture("v1/trace-survival.egwk"), &error);
+  ASSERT_TRUE(decoded.has_value()) << error;
+  EXPECT_FALSE(decoded->content_complete);
+  EXPECT_EQ(testing::DumpTrace(decoded->trace), testing::ReadFixture("v1/trace-survival.dump"));
+  EXPECT_EQ(Replay(decoded->trace), testing::ReadFixture("v1/trace.txt"));
+}
+
+TEST(V1Fixtures, ChainLoadsWithItsCachedDocAndSessionCheckpoint) {
+  const std::vector<std::string> chain = testing::V1FixtureChain();
+  const std::string dump = testing::ReadFixture("v1/chain.dump");
+  const std::string text = testing::ReadFixture("v1/chain.txt");
+
+  Lv next = 0;
+  for (const std::string& seg : chain) {
+    auto info = PeekSegment(seg);
+    ASSERT_TRUE(info.has_value());
+    EXPECT_EQ(info->format_version, 1);
+    EXPECT_TRUE(info->columns.empty());  // v1 has no column directory.
+    EXPECT_TRUE(info->has_cached_doc);
+    EXPECT_EQ(info->base_lv, next);
+    next += info->event_count;
+  }
+
+  Trace t;
+  std::optional<std::string> cached;
+  SegmentAnchor anchor;
+  std::string error;
+  for (const std::string& seg : chain) {
+    ASSERT_TRUE(DecodeSegmentInto(t, seg, &cached, &error, &anchor)) << error;
+  }
+  EXPECT_EQ(t.graph.size(), next);
+  EXPECT_EQ(testing::DumpTrace(t), dump);
+  EXPECT_EQ(cached, text);
+  EXPECT_EQ(anchor.lv, 14u);
+  EXPECT_EQ(anchor.doc_len, 15u);
+  EXPECT_FALSE(anchor.session_state.empty());
+
+  auto doc = Doc::LoadChain(chain, "!server", &error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  EXPECT_EQ(doc->Text(), text);
+  EXPECT_EQ(testing::DumpTrace(doc->trace()), dump);
+  EXPECT_EQ(doc->replayed_events(), 0u);
+  EXPECT_EQ(doc->lazy_segments_skipped(), 0u);  // Nothing to skip without a directory.
+}
+
+TEST(V1Fixtures, V2HeadThenV1TailLoadsLazilyThenHydrates) {
+  const std::string dump = testing::ReadFixture("v1/chain.dump");
+  const std::string text = testing::ReadFixture("v1/chain.txt");
+  std::vector<std::string> chain = testing::V2HeadV1TailChain();
+  for (bool lz4_head : {false, true}) {
+    if (lz4_head) {
+      chain[0] =
+          testing::RewriteColumnsAsLz4(chain[0], {testing::kOpsColumn, testing::kContentColumn});
+    }
+    const std::vector<int> versions = {2, 1, 1};
+    for (size_t i = 0; i < chain.size(); ++i) {
+      auto info = PeekSegment(chain[i]);
+      ASSERT_TRUE(info.has_value()) << i;
+      EXPECT_EQ(info->format_version, versions[i]) << i;
+    }
+    std::string error;
+
+    Trace t;
+    std::optional<std::string> cached;
+    for (const std::string& seg : chain) {
+      ASSERT_TRUE(DecodeSegmentInto(t, seg, &cached, &error)) << error;
+    }
+    EXPECT_EQ(testing::DumpTrace(t), dump) << lz4_head;
+    EXPECT_EQ(cached, text) << lz4_head;
+
+    ChainLoadOptions eager_options;
+    eager_options.lazy_ops = false;
+    auto eager = Doc::LoadChain(chain, "!server", &error, eager_options);
+    ASSERT_TRUE(eager.has_value()) << error;
+    EXPECT_EQ(eager->lazy_segments_skipped(), 0u);
+    EXPECT_EQ(testing::DumpTrace(eager->trace()), dump) << lz4_head;
+
+    // Only the v2 head is skipped; the v1 tail decodes eagerly after it.
+    auto lazy = Doc::LoadChain(chain, "!server", &error);
+    ASSERT_TRUE(lazy.has_value()) << error;
+    EXPECT_EQ(lazy->lazy_segments_skipped(), 1u);
+    EXPECT_EQ(lazy->replayed_events(), 0u);
+    EXPECT_EQ(lazy->Text(), text);
+    (void)lazy->Save();
+    EXPECT_EQ(lazy->hydrated_segments(), 1u);
+    EXPECT_EQ(testing::DumpTrace(lazy->trace()), dump) << lz4_head;
+  }
+}
+
+TEST(Lz4Columns, TraceFileDecodes) {
+  auto v1 = DecodeTrace(testing::ReadFixture("v1/trace.egwk"));
+  ASSERT_TRUE(v1.has_value());
+  SaveOptions raw;
+  raw.compress_columns = false;
+  const std::string bytes = testing::RewriteColumnsAsLz4(
+      EncodeTrace(v1->trace, raw), {testing::kOpsColumn, testing::kContentColumn});
+  std::string error;
+  auto decoded = DecodeTrace(bytes, &error);
+  ASSERT_TRUE(decoded.has_value()) << error;
+  EXPECT_EQ(testing::DumpTrace(decoded->trace), testing::ReadFixture("v1/trace.dump"));
+  EXPECT_EQ(Replay(decoded->trace), testing::ReadFixture("v1/trace.txt"));
+}
+
+TEST(Lz4Columns, SegmentsDecodeEagerlyAndLazily) {
+  SaveOptions raw;
+  raw.compress_columns = false;
+  std::vector<std::string> chain = testing::TranscodeChain(testing::V1FixtureChain(), raw);
+  for (std::string& seg : chain) {
+    seg = testing::RewriteColumnsAsLz4(seg, {testing::kOpsColumn, testing::kContentColumn});
+    auto info = PeekSegment(seg);
+    ASSERT_TRUE(info.has_value());
+    EXPECT_EQ(info->format_version, 2);
+    for (const SegmentColumn& col : info->columns) {
+      bool lz4 = col.id == testing::kOpsColumn || col.id == testing::kContentColumn;
+      EXPECT_EQ(col.codec, lz4 ? 1u : 0u) << int{col.id};
+    }
+  }
+  const std::string dump = testing::ReadFixture("v1/chain.dump");
+  const std::string text = testing::ReadFixture("v1/chain.txt");
+  std::string error;
+
+  Trace t;
+  std::optional<std::string> cached;
+  for (const std::string& seg : chain) {
+    ASSERT_TRUE(DecodeSegmentInto(t, seg, &cached, &error)) << error;
+  }
+  EXPECT_EQ(testing::DumpTrace(t), dump);
+  EXPECT_EQ(cached, text);
+
+  ChainLoadOptions eager_options;
+  eager_options.lazy_ops = false;
+  auto eager = Doc::LoadChain(chain, "!server", &error, eager_options);
+  ASSERT_TRUE(eager.has_value()) << error;
+  EXPECT_EQ(eager->lazy_segments_skipped(), 0u);
+  EXPECT_EQ(eager->Text(), text);
+  EXPECT_EQ(testing::DumpTrace(eager->trace()), dump);
+
+  auto lazy = Doc::LoadChain(chain, "!server", &error);
+  ASSERT_TRUE(lazy.has_value()) << error;
+  EXPECT_EQ(lazy->lazy_segments_skipped(), chain.size());
+  EXPECT_EQ(lazy->Text(), text);
+  // A full save walks the whole op log, hydrating every skipped segment.
+  (void)lazy->Save();
+  EXPECT_EQ(lazy->hydrated_segments(), chain.size());
+  EXPECT_EQ(testing::DumpTrace(lazy->trace()), dump);
+}
+
 TEST(SizeModels, OrderingMatchesPaperFigures) {
   // Figure 11: the Automerge-like full-history file is larger than our
   // event-graph encoding. Figure 12: the Yjs-like final-state file is
-  // smaller than the full encoding.
+  // smaller than the full encoding. Both models are uncompressed, so ours
+  // is too.
+  SaveOptions raw;
+  raw.compress_columns = false;
   for (const char* name : {"S2", "C2", "A1"}) {
     Trace t = GenerateNamedTrace(name, 0.004);
-    uint64_t ours = EncodeTrace(t, SaveOptions{}).size();
+    uint64_t ours = EncodeTrace(t, raw).size();
     uint64_t automerge = AutomergeLikeSize(t.graph, t.ops);
     uint64_t yjs = YjsLikeSize(t.graph, t.ops);
     EXPECT_GT(automerge, ours) << name;

@@ -15,6 +15,7 @@
 #include "server/client.h"
 #include "server/netsim.h"
 #include "server/registry.h"
+#include "testing/fixtures.h"
 #include "util/prng.h"
 
 namespace egwalker {
@@ -406,24 +407,20 @@ TEST(Registry, TryOpenSurvivesCorruptChainAndRecoversAfterRepair) {
 }
 
 TEST(Registry, MixedV1V2ChainLoadsAndCompactsToV2) {
-  // A chain whose prefix was written by an old server in the frozen v1
-  // layout must load seamlessly under the current registry, take v2
-  // segments on new flushes, and compact down to a single v2 segment.
+  // A chain an old server wrote in the v1 layout (the golden fixture
+  // chain: LZ4 content, cached docs, a session checkpoint) must load
+  // seamlessly under the current registry, take v2 segments on new
+  // flushes, and compact down to a single v2 segment.
   MemStorage storage;
-  Doc writer("!server");
-  writer.Insert(0, "legacy prefix. ");
-  SaveOptions v1;
-  v1.cache_final_doc = true;  // format_version stays 1.
-  storage.Append("doc", writer.SaveSegment(0, v1));
-  Lv checkpoint = writer.end_lv();
-  writer.Insert(writer.size(), "still legacy. ");
-  storage.Append("doc", writer.SaveSegment(checkpoint, v1));
+  for (const std::string& seg : testing::V1FixtureChain()) {
+    storage.Append("doc", seg);
+  }
 
   DocRegistry::Config config;
-  config.compact_above_segments = 4;
+  config.compact_above_segments = 5;
   DocRegistry registry(storage, config);
   Doc& doc = registry.Open("doc");
-  EXPECT_EQ(doc.Text(), writer.Text());
+  EXPECT_EQ(doc.Text(), testing::ReadFixture("v1/chain.txt"));
   // v1 segments carry no column directory: nothing can be lazily skipped.
   EXPECT_EQ(registry.stats().lazy_segments_skipped, 0u);
 
@@ -432,9 +429,9 @@ TEST(Registry, MixedV1V2ChainLoadsAndCompactsToV2) {
   {
     const std::vector<std::string>* chain = storage.Chain("doc");
     ASSERT_NE(chain, nullptr);
-    ASSERT_EQ(chain->size(), 3u);
+    ASSERT_EQ(chain->size(), 4u);
     auto head = PeekSegment((*chain)[0]);
-    auto tail = PeekSegment((*chain)[2]);
+    auto tail = PeekSegment((*chain)[3]);
     ASSERT_TRUE(head.has_value() && tail.has_value());
     EXPECT_EQ(head->format_version, 1u);
     EXPECT_EQ(tail->format_version, 2u);
@@ -470,10 +467,13 @@ TEST(Segment, IncrementalSegmentsAreSmallerThanFullSaves) {
   for (int i = 0; i < 50; ++i) {
     doc.Insert(doc.size(), paragraph);
   }
-  std::string seg1 = doc.SaveSegment(0, SaveOptions{});
+  // Uncompressed, so the repetitive prefix is not squeezed away.
+  SaveOptions raw;
+  raw.compress_columns = false;
+  std::string seg1 = doc.SaveSegment(0, raw);
   Lv checkpoint = doc.end_lv();
   doc.Insert(doc.size(), "one more line");
-  std::string seg2 = doc.SaveSegment(checkpoint, SaveOptions{});
+  std::string seg2 = doc.SaveSegment(checkpoint, raw);
   EXPECT_LT(seg2.size() * 100, seg1.size());  // Only the suffix travels.
 }
 
