@@ -20,7 +20,7 @@ namespace egwalker::bench {
 namespace {
 
 int Run(int argc, char** argv) {
-  Options opts = ParseArgs(argc, argv);
+  Options opts = ParseArgs(argc, argv, kTraceSubset);
   PrintHeader("Ablations: sort heuristic, B-tree, run-length encoding", opts);
 
   // --- 1. Sort order on concurrency-heavy traces ---

@@ -1,21 +1,27 @@
 // Shared helpers for the benchmark binaries.
 //
-// Every bench binary accepts:
+// The bench binaries accept these flags, each binary only those it
+// honours (see Flag below):
 //   --scale=<f>   trace scale relative to the paper's normalised sizes
 //                 (1.0 = Table 1 sizes, roughly 0.6M-2.3M events per trace)
 //   --quick       shorthand for a very small scale (smoke testing)
 //   --trace=<n>   restrict to a comma-separated subset of the traces
 //                 (S1 S2 S3 C1 C2 A1 A2) — OR, when the value ends in
 //                 ".json", write a Chrome trace_event file there instead
-//                 (obs/trace.h; open it in chrome://tracing or Perfetto).
-//                 Editing-trace names never contain a dot, so the two uses
-//                 cannot collide.
+//                 (obs/trace.h; open it in chrome://tracing or Perfetto;
+//                 bench_server only). Editing-trace names never contain a
+//                 dot, so the two uses cannot collide.
 //   --metrics=<p> write the aggregated metrics registry (obs/metrics.h) as
 //                 JSON to <p>: per-phase counters, convergence-latency
-//                 histograms, backpressure counts
+//                 histograms, backpressure counts (bench_server only)
 //   --json=<p>    additionally write the measurements as structured JSON to
 //                 <p>, so successive PRs can track the perf trajectory in
 //                 committed BENCH_*.json files
+//   --shards=<n>  bench_server only: force every scenario through n shards
+//
+// --scale and --quick apply everywhere; ParseArgs rejects any other flag a
+// binary does not honour with exit status 2 — a flag either does what it
+// says or errors, it is never silently ignored.
 //
 // Timing methodology mirrors the paper where practical: each measurement is
 // repeated until a time budget is used (at least twice), reporting the mean.
@@ -54,23 +60,61 @@ struct Options {
   int shards = -1;
 };
 
-inline Options ParseArgs(int argc, char** argv) {
+// The optional flags a bench binary honours (ParseArgs' `honoured` mask).
+enum Flag : unsigned {
+  kTraceSubset = 1u << 0,  // --trace=<names>
+  kTraceOut = 1u << 1,     // --trace=<p>.json
+  kMetricsOut = 1u << 2,   // --metrics=<p>
+  kJsonOut = 1u << 3,      // --json=<p>
+  kShards = 1u << 4,       // --shards=<n>
+};
+
+inline bool IsTraceOutArg(const char* arg) {
+  // Editing-trace names never contain a dot (see the file comment).
+  size_t n = std::strlen(arg);
+  return std::strncmp(arg, "--trace=", 8) == 0 && n > 13 &&
+         std::strcmp(arg + n - 5, ".json") == 0;
+}
+
+// The Flag bit `arg` needs, or 0 for the flags every binary takes.
+inline unsigned FlagOf(const char* arg) {
+  if (IsTraceOutArg(arg)) {
+    return kTraceOut;
+  }
+  if (std::strncmp(arg, "--trace=", 8) == 0) {
+    return kTraceSubset;
+  }
+  if (std::strncmp(arg, "--metrics=", 10) == 0) {
+    return kMetricsOut;
+  }
+  if (std::strncmp(arg, "--json=", 7) == 0) {
+    return kJsonOut;
+  }
+  if (std::strncmp(arg, "--shards=", 9) == 0) {
+    return kShards;
+  }
+  return 0;
+}
+
+inline Options ParseArgs(int argc, char** argv, unsigned honoured) {
   // Line-buffer stdout even when piped, so `| tee` captures progress live.
   std::setvbuf(stdout, nullptr, _IOLBF, 0);
   Options opts;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
+    if ((FlagOf(arg) & ~honoured) != 0) {
+      std::fprintf(stderr, "%s: %s is not supported by this benchmark\n", argv[0], arg);
+      std::exit(2);
+    }
     if (std::strncmp(arg, "--scale=", 8) == 0) {
       opts.scale = std::atof(arg + 8);
     } else if (std::strcmp(arg, "--quick") == 0) {
       opts.scale = 0.02;
       opts.time_budget_s = 0.2;
+    } else if (IsTraceOutArg(arg)) {
+      opts.trace_path = std::string(arg + 8);  // Output path, not a subset.
     } else if (std::strncmp(arg, "--trace=", 8) == 0) {
       std::string list(arg + 8);
-      if (list.size() > 5 && list.compare(list.size() - 5, 5, ".json") == 0) {
-        opts.trace_path = std::move(list);  // Output path, not a subset.
-        continue;
-      }
       opts.traces.clear();
       size_t from = 0;
       while (from <= list.size()) {

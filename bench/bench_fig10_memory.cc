@@ -39,7 +39,7 @@ using memtrack::PeakBytes;
 using memtrack::ResetPeak;
 
 int Run(int argc, char** argv) {
-  Options opts = ParseArgs(argc, argv);
+  Options opts = ParseArgs(argc, argv, kTraceSubset);
   PrintHeader("Figure 10: RAM while merging (heap deltas)", opts);
   std::printf("%-4s | %-22s %12s %12s | %12s %12s\n", "", "algorithm", "peak", "steady",
               "paper peak", "paper steady");

@@ -24,7 +24,7 @@ constexpr PaperFig11 kPaper[] = {
 };
 
 int Run(int argc, char** argv) {
-  Options opts = ParseArgs(argc, argv);
+  Options opts = ParseArgs(argc, argv, kTraceSubset | kJsonOut);
   PrintHeader("Figure 11: full-history file sizes (uncompressed)", opts);
   JsonReport report("fig11_filesize", opts);
   auto add_row = [&](const char* trace, const char* algorithm, uint64_t bytes) {

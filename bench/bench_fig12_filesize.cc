@@ -24,7 +24,7 @@ constexpr PaperFig12 kPaper[] = {
 };
 
 int Run(int argc, char** argv) {
-  Options opts = ParseArgs(argc, argv);
+  Options opts = ParseArgs(argc, argv, kTraceSubset | kJsonOut);
   PrintHeader("Figure 12: final-state file sizes (deleted text omitted)", opts);
   JsonReport report("fig12_filesize", opts);
   auto add_row = [&](const char* trace, const char* algorithm, uint64_t bytes) {

@@ -42,7 +42,7 @@ constexpr PaperFig8 kPaper[] = {
 };
 
 int Run(int argc, char** argv) {
-  Options opts = ParseArgs(argc, argv);
+  Options opts = ParseArgs(argc, argv, kTraceSubset | kJsonOut);
   PrintHeader("Figure 8: merge + cached-load times", opts);
   JsonReport report("fig8_merge", opts);
   std::printf("%-4s | %-26s %12s | %12s\n", "", "algorithm", "measured", "paper@1.0");

@@ -21,7 +21,7 @@ constexpr PaperFig9 kPaper[] = {
 };
 
 int Run(int argc, char** argv) {
-  Options opts = ParseArgs(argc, argv);
+  Options opts = ParseArgs(argc, argv, kTraceSubset);
   PrintHeader("Figure 9: state-clearing optimisation on/off", opts);
   std::printf("%-4s | %12s %12s %8s | %12s %12s %8s\n", "", "opt on", "opt off", "speedup",
               "paper on", "paper off", "speedup");

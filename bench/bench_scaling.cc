@@ -51,7 +51,7 @@ Trace TwoBranchTrace(uint64_t n, uint64_t seed) {
 }
 
 int Run(int argc, char** argv) {
-  Options opts = ParseArgs(argc, argv);
+  Options opts = ParseArgs(argc, argv, 0);
   PrintHeader("Scaling: merging two branches of n events each", opts);
   std::printf("%10s | %12s %12s %12s\n", "n/branch", "eg-walker", "ref CRDT", "OT");
 

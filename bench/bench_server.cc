@@ -465,7 +465,8 @@ SoakResult RunScenario(const Scenario& scenario, double* soak_ms, double* flush_
 }
 
 int Run(int argc, char** argv) {
-  bench::Options opts = bench::ParseArgs(argc, argv);
+  bench::Options opts = bench::ParseArgs(
+      argc, argv, bench::kTraceOut | bench::kMetricsOut | bench::kJsonOut | bench::kShards);
   bool quick = opts.scale <= 0.05;  // --quick maps to a tiny scale.
   bench::JsonReport report("server", opts);
 

@@ -31,7 +31,7 @@ constexpr PaperRow kPaper[] = {
 };
 
 int Run(int argc, char** argv) {
-  Options opts = ParseArgs(argc, argv);
+  Options opts = ParseArgs(argc, argv, kTraceSubset);
   PrintHeader("Table 1: editing trace statistics (ours vs paper)", opts);
   std::printf("%-4s %-13s | %10s %8s %9s %7s %7s %9s\n", "", "", "Events(k)", "AvgConc",
               "Runs", "Authors", "Rem(%)", "Final(kB)");

@@ -1,6 +1,8 @@
 #include "server/broker.h"
 
 #include <climits>
+#include <map>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -24,6 +26,87 @@ void Broker::OnMessage(NetSim& net, int from, int self, const Message& msg) {
 }
 
 void Broker::Handle(MessageSink& sink, int from, const Message& msg) {
+  Dispatch(sink, from, msg);
+  // Sweep after handling: the message just processed counts as liveness,
+  // so a client resurfacing exactly at its timeout is not reaped by its
+  // own message.
+  SweepIdleSessions(sink.now());
+}
+
+void Broker::Receive(MessageSink& sink, int from, Message msg) {
+  if (SweepDue(sink.now())) {
+    // The sweep crosses documents, so everything before it is handled
+    // first. On a tick's first message nothing is deferred yet.
+    HandleDeferred(sink);
+    Handle(sink, from, msg);
+    return;
+  }
+  if (!registry_.resident(msg.doc)) {
+    deferred_.push_back(Inbound{from, sink.now(), std::move(msg)});
+    return;
+  }
+  Dispatch(sink, from, msg);
+}
+
+void Broker::EndTick(MessageSink& sink) { HandleGroups(sink, /*fan_out=*/true); }
+
+void Broker::HandleDeferred(MessageSink& sink) { HandleGroups(sink, /*fan_out=*/false); }
+
+namespace {
+
+// Forwards sends to `sink` but reports the tick a deferred message arrived
+// at, so handling it late stamps the session times it would have on
+// arrival.
+class ArrivalSink final : public MessageSink {
+ public:
+  ArrivalSink(MessageSink& sink, uint64_t now) : sink_(sink), now_(now) {}
+  void Send(int to, Message msg) override { sink_.Send(to, std::move(msg)); }
+  uint64_t now() const override { return now_; }
+
+ private:
+  MessageSink& sink_;
+  uint64_t now_;
+};
+
+}  // namespace
+
+void Broker::HandleGroups(MessageSink& sink, bool fan_out) {
+  std::vector<Inbound> deferred;
+  deferred.swap(deferred_);
+  std::vector<std::vector<size_t>> groups;  // Indices into `deferred`.
+  std::map<std::string_view, size_t> group_of;
+  for (size_t i = 0; i < deferred.size(); ++i) {
+    auto [it, fresh] = group_of.try_emplace(deferred[i].msg.doc, groups.size());
+    if (fresh) {
+      groups.emplace_back();
+    }
+    groups[it->second].push_back(i);
+  }
+  if (fan_out) {
+    // Broadcasts owed by documents with nothing deferred go first, while
+    // they are still resident: the deferred documents' loads may evict them.
+    std::vector<std::string> ready;
+    for (const std::string& doc_name : pending_broadcasts_) {
+      if (group_of.count(doc_name) == 0) {
+        ready.push_back(doc_name);
+      }
+    }
+    for (const std::string& doc_name : ready) {
+      FlushBroadcast(sink, doc_name);
+    }
+  }
+  for (const std::vector<size_t>& group : groups) {
+    for (size_t i : group) {
+      ArrivalSink arrival(sink, deferred[i].now);
+      Dispatch(arrival, deferred[i].from, deferred[i].msg);
+    }
+    if (fan_out) {
+      FlushBroadcast(sink, deferred[group[0]].msg.doc);
+    }
+  }
+}
+
+void Broker::Dispatch(MessageSink& sink, int from, const Message& msg) {
   switch (msg.type) {
     case MsgType::kSyncRequest:
       HandleSyncRequest(sink, from, msg);
@@ -37,10 +120,6 @@ void Broker::Handle(MessageSink& sink, int from, const Message& msg) {
       MaybeDropPatchCache(msg.doc);
       break;
   }
-  // Sweep after handling: the message just processed counts as liveness,
-  // so a client resurfacing exactly at its timeout is not reaped by its
-  // own message.
-  SweepIdleSessions(sink.now());
 }
 
 void Broker::HandleSyncRequest(MessageSink& sink, int from, const Message& msg) {
@@ -151,18 +230,28 @@ void Broker::FlushBroadcasts(MessageSink& sink) {
   std::set<std::string> pending;
   pending.swap(pending_broadcasts_);
   for (const std::string& doc_name : pending) {
-    // A doc marked for broadcast is normally resident, but an eviction may
-    // have intervened; if its chain then fails to load, skip the round.
-    Doc* doc = registry_.TryOpen(doc_name);
-    if (doc == nullptr) {
-      continue;
-    }
-    ++stats_.broadcast_rounds;
-    Broadcast(sink, *doc, doc_name);
+    Broadcast(sink, doc_name);
   }
 }
 
-void Broker::Broadcast(MessageSink& sink, Doc& doc, const std::string& doc_name) {
+void Broker::FlushBroadcast(MessageSink& sink, const std::string& doc_name) {
+  auto node = pending_broadcasts_.extract(doc_name);
+  if (node.empty()) {
+    return;
+  }
+  EGW_TRACE_SPAN("broker.flush");
+  Broadcast(sink, node.value());
+}
+
+void Broker::Broadcast(MessageSink& sink, const std::string& doc_name) {
+  // A doc marked for broadcast is normally resident, but an eviction may
+  // have intervened; if its chain then fails to load, skip the round.
+  Doc* doc_ptr = registry_.TryOpen(doc_name);
+  if (doc_ptr == nullptr) {
+    return;
+  }
+  Doc& doc = *doc_ptr;
+  ++stats_.broadcast_rounds;
   VersionSummary mine = SummarizeDoc(doc);
   std::string my_summary = EncodeSummary(mine);
   // One encoded patch per distinct subscriber summary, served through the
@@ -278,13 +367,13 @@ void Broker::AdoptDoc(const std::string& doc_name, DocHandoff handoff) {
   }
 }
 
+bool Broker::SweepDue(uint64_t now) const {
+  return config_.session_idle_timeout != 0 &&
+         now >= last_sweep_ + config_.session_idle_timeout / 2;
+}
+
 void Broker::SweepIdleSessions(uint64_t now) {
-  if (config_.session_idle_timeout == 0) {
-    return;
-  }
-  // Sweep at most once per half-timeout: cheap, and a session can outlive
-  // its timeout by at most 1.5x.
-  if (now < last_sweep_ + config_.session_idle_timeout / 2) {
+  if (!SweepDue(now)) {
     return;
   }
   last_sweep_ = now;

@@ -49,10 +49,11 @@
 // broadcast, paper Section 2.1).
 //
 // Broadcasts are also *batched per tick*: HandlePatch only marks the
-// document broadcast-pending, and the fan-out runs once from OnTick after
-// every message of the tick was applied. N patches to one document in a
-// tick therefore cost one fan-out round instead of N (cutting the
-// amplification from N*subscribers patch encodes to subscribers), and
+// document broadcast-pending, and the fan-out runs once per tick, after
+// every message of the tick for that document was applied (OnTick's
+// FlushBroadcasts, or EndTick on the grouped path). N patches to one
+// document in a tick therefore cost one fan-out round instead of N (cutting
+// the amplification from N*subscribers patch encodes to subscribers), and
 // subscribers whose summary estimates are equal — the steady state once
 // batching keeps them in lockstep — share a single encoded patch. The
 // sender of a patch is not special-cased: after its summary update, the
@@ -89,6 +90,7 @@
 #include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "obs/stats.h"
 #include "server/netsim.h"
@@ -183,12 +185,45 @@ class Broker : public Endpoint {
   int Attach(NetSim& net);
   int endpoint_id() const { return endpoint_id_; }
 
-  // Transport-independent core: handle one inbound message / flush the
-  // tick's batched broadcasts, writing replies to `sink`. The NetSim
-  // Endpoint overrides below and the shard worker loop (server/shard.cc)
-  // are both thin wrappers over these two calls.
+  // Transport-independent core, writing replies to `sink`. Two ways to
+  // drive it:
+  //   - per message: Handle() each message, FlushBroadcasts() at the end of
+  //     every tick. The NetSim Endpoint overrides below do this.
+  //   - grouped by document: Receive() each message, EndTick() at the end of
+  //     every tick. The shard worker loop (server/shard.cc) does this.
+  // Per document the two are exactly equivalent: the same replies,
+  // broadcasts, stats and document bytes. Only the interleaving of sends
+  // *across* documents and the registry's load/evict/flush traffic differ.
+  //
+  // Handles one inbound message received at sink.now().
   void Handle(MessageSink& sink, int from, const Message& msg);
+  // Fans out every pending broadcast, in document-name order.
   void FlushBroadcasts(MessageSink& sink);
+  // Fans out `doc_name`'s pending broadcast, if it has one. A document's
+  // broadcast depends only on that document and its sessions, so it may run
+  // as soon as the document's last message of the tick is applied.
+  void FlushBroadcast(MessageSink& sink, const std::string& doc_name);
+
+  // Takes one message received at sink.now(). A message whose document is
+  // resident is handled at once (opening it evicts nothing); any other is
+  // deferred to EndTick, and so are its document's later messages, since
+  // nothing loads before then. A message due to run the idle sweep — the
+  // one effect that crosses documents — first handles everything deferred,
+  // then itself and the sweep, exactly where per-message handling sweeps.
+  void Receive(MessageSink& sink, int from, Message msg);
+  // Ends the tick: fans out the broadcasts owed by documents with nothing
+  // deferred (handled on arrival, or adopted with a broadcast owed), then
+  // handles the deferred messages grouped by document in first-arrival
+  // order (each group in arrival order, each document's broadcast right
+  // after its last message). A document is therefore opened about once per
+  // tick, not once per message, and a tick loads at most the documents
+  // that were not resident when it began (one more when it sweeps).
+  void EndTick(MessageSink& sink);
+  // Handles the deferred messages like EndTick but fans nothing out: their
+  // broadcasts stay pending, as after Handle().
+  void HandleDeferred(MessageSink& sink);
+  // True while Receive has messages waiting for EndTick.
+  bool has_deferred() const { return !deferred_.empty(); }
 
   void OnMessage(NetSim& net, int from, int self, const Message& msg) override;
   // Flushes the tick's batched broadcasts (see the file comment).
@@ -224,16 +259,30 @@ class Broker : public Endpoint {
   // invalid entry is simply re-encoded in place.
   static constexpr size_t kPatchCacheEntriesPerDoc = 16;
 
+  // One message deferred by Receive, with the tick it arrived at.
+  struct Inbound {
+    int from = -1;
+    uint64_t now = 0;
+    Message msg;
+  };
+
+  // Handle() without the idle sweep.
+  void Dispatch(MessageSink& sink, int from, const Message& msg);
   void HandleSyncRequest(MessageSink& sink, int from, const Message& msg);
   void HandlePatch(MessageSink& sink, int from, const Message& msg);
-  // Erases sessions idle past the timeout; runs lazily from Handle.
+  // True when a message handled at `now` runs the idle sweep: at most once
+  // per half-timeout, so a session can outlive its timeout by at most 1.5x.
+  bool SweepDue(uint64_t now) const;
+  // Erases sessions idle past the timeout when due; runs lazily from Handle.
   void SweepIdleSessions(uint64_t now);
-  // Sends each live subscriber of `doc_name` the delta it is missing,
-  // encoding one patch per distinct subscriber summary and reusing
-  // watermark-valid encodes from previous ticks. `doc` is the caller's
-  // already-open registry reference (re-opening here would distort the
-  // registry's hit-rate stats).
-  void Broadcast(MessageSink& sink, Doc& doc, const std::string& doc_name);
+  // Handles the deferred messages grouped by document, fanning out as
+  // EndTick describes when `fan_out` is set.
+  void HandleGroups(MessageSink& sink, bool fan_out);
+  // One broadcast round for `doc_name`: sends each live subscriber the
+  // delta it is missing, encoding one patch per distinct subscriber summary
+  // and reusing watermark-valid encodes from previous ticks. Skipped when
+  // the document's chain fails to load.
+  void Broadcast(MessageSink& sink, const std::string& doc_name);
   void MaybeCheckpoint(const std::string& doc_name);
   // The patch for `summary` against `doc`, from the cache when the
   // watermark validates, freshly encoded (and cached) otherwise. `epoch`
@@ -250,7 +299,8 @@ class Broker : public Endpoint {
   Config config_;
   int endpoint_id_ = -1;
   std::map<SessionKey, Session> sessions_;
-  // Documents with applied-but-not-yet-broadcast events; flushed by OnTick.
+  // Documents with applied-but-not-yet-broadcast events; flushed once per
+  // tick (FlushBroadcasts / FlushBroadcast).
   std::set<std::string> pending_broadcasts_;
   std::map<std::string, std::vector<CachedEncode>> patch_cache_;
   // Scratch slot for a round with more distinct subscriber summaries than
@@ -260,6 +310,7 @@ class Broker : public Endpoint {
   uint64_t patch_cache_clock_ = 0;
   uint64_t patch_epoch_ = 0;
   uint64_t last_sweep_ = 0;
+  std::vector<Inbound> deferred_;  // In arrival order.
   Stats stats_;
 };
 

@@ -65,6 +65,7 @@ void Router::OnMessage(NetSim& net, int from, int self, const Message& msg) {
   req.msg = msg;
   bool posted = shards_[static_cast<size_t>(ShardOf(msg.doc))]->Post(std::move(req));
   EGW_CHECK(posted);  // Shards outlive the network they are attached to.
+  posted_since_barrier_ = true;
 }
 
 void Router::OnTick(NetSim& net, int self) {
@@ -88,12 +89,17 @@ void Router::OnTick(NetSim& net, int self) {
       net.Send(endpoint_id_, send.to, std::move(send.msg));
     }
   }
+  posted_since_barrier_ = false;
   in_tick_ = false;
 }
 
 void Router::Rebalance(const std::string& doc, int to) {
   EGW_TRACE_SPAN("router.rebalance");
-  EGW_CHECK(!in_tick_);  // Queues are only provably quiet between ticks.
+  // Queues are only provably quiet between ticks, and only once a barrier
+  // has followed every client message: shards defer messages to the
+  // barrier (see shard.h).
+  EGW_CHECK(!in_tick_);
+  EGW_CHECK(!posted_since_barrier_);
   EGW_CHECK(to >= 0 && to < shard_count());
   int from = ShardOf(doc);
   // A self-handoff still runs both legs: the differential soak forces the

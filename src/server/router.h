@@ -68,8 +68,10 @@ class Router : public Endpoint {
   // Re-homes a live document onto shard `to` (no-op state-wise when `to`
   // already serves it is still exercised as a full drain+adopt round trip,
   // so 1-shard and N-shard deployments stay symmetric under forced
-  // rebalance schedules). Must be called between ticks — never from inside
-  // OnMessage/OnTick — when the queues are quiet.
+  // rebalance schedules). Must be called after a barrier (OnTick) and
+  // before the next OnMessage — never from inside OnMessage/OnTick — when
+  // the queues are quiet: a shard may still hold client messages posted
+  // since the barrier for the next one. EGW_CHECKs both.
   void Rebalance(const std::string& doc, int to);
 
   // Stops every shard worker (idempotent). Implicit in the destructor;
@@ -106,6 +108,7 @@ class Router : public Endpoint {
   std::map<std::string, int> placement_;  // Overrides; hash elsewhere.
   int endpoint_id_ = -1;
   bool in_tick_ = false;
+  bool posted_since_barrier_ = false;  // A kClient went out after OnTick.
   uint64_t rebalances_ = 0;
 };
 

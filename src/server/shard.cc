@@ -94,13 +94,13 @@ void Shard::Run() {
       case ShardRequest::Kind::kClient: {
         EGW_TRACE_SPAN("shard.client");
         sink.set_now(req->now);
-        broker_.Handle(sink, req->from, req->msg);
+        broker_.Receive(sink, req->from, std::move(req->msg));
         break;
       }
       case ShardRequest::Kind::kTick: {
-        EGW_TRACE_SPAN("shard.tick_flush");
+        EGW_TRACE_SPAN("shard.tick");
         sink.set_now(req->now);
-        broker_.FlushBroadcasts(sink);
+        broker_.EndTick(sink);
         ShardReply reply;
         reply.sends = sink.Take();
         replies_.Push(std::move(reply));
@@ -108,6 +108,9 @@ void Shard::Run() {
       }
       case ShardRequest::Kind::kDrain: {
         EGW_TRACE_SPAN("shard.drain");
+        // Handoff runs only between a barrier and the next client message
+        // (Router::Rebalance checks the same on its side).
+        EGW_CHECK(!broker_.has_deferred());
         ShardReply reply;
         // Retiring flush: the segment carries the live walker session, so
         // the adopting shard's first Open resumes instead of replaying.
@@ -125,6 +128,7 @@ void Shard::Run() {
       }
       case ShardRequest::Kind::kAdopt: {
         EGW_TRACE_SPAN("shard.adopt");
+        EGW_CHECK(!broker_.has_deferred());
         if (!req->chain.empty()) {
           storage_.Replace(req->doc, std::move(req->chain));
         }
@@ -134,6 +138,11 @@ void Shard::Run() {
       }
     }
   }
+  // Stopped with messages posted after the last barrier: apply the deferred
+  // ones too, as per-message handling would have on arrival. Nobody waits
+  // for a reply, so their sends are dropped, and their broadcasts stay
+  // pending like those of the messages applied on arrival.
+  broker_.HandleDeferred(sink);
 }
 
 }  // namespace egwalker

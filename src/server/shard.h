@@ -23,13 +23,39 @@
 //   shard worker thread (one per shard, Run() below)
 //     - owns this shard's storage/registry/broker outright; no other
 //       thread touches them while the worker runs
-//     - drains the inbox in FIFO order: applies client messages
-//       (Broker::Handle with a buffering MessageSink — sends accumulate
-//       locally, nothing crosses a thread mid-request), runs the broadcast
-//       flush on kTick and replies with the accumulated send batch,
-//       services drain/adopt handoff requests
+//     - drains the inbox in FIFO order and handles the tick grouped by
+//       document (Broker::Receive per kClient, Broker::EndTick at kTick):
+//       a message whose document is resident is applied on arrival, any
+//       other is deferred to the barrier, along with its document's later
+//       messages. At kTick the worker fans out the broadcasts owed by the
+//       documents with nothing deferred (applied on arrival, or adopted
+//       with a broadcast owed), then handles the deferred documents one at
+//       a time in first-arrival order (each document's messages in arrival
+//       order, its broadcast right after its last one), and replies with
+//       the accumulated send batch. Sends go to a buffering
+//       MessageSink — they accumulate locally, nothing crosses a thread
+//       mid-tick. A document is therefore opened about once per tick, not
+//       once per message: a shard serving more documents than its LRU
+//       holds no longer evicts and reloads them in the arrival
+//       interleaving, and a tick loads at most the documents that were not
+//       resident when it began
+//     - services drain/adopt handoff requests, which EGW_CHECK that no
+//       message is deferred: handoff runs only between a barrier and the
+//       next client message, which Router::Rebalance checks on its side
 //     - pushes exactly one ShardReply per kTick/kDrain/kAdopt request and
 //       none for kClient, so the router's WaitReply pairing is static
+//     - on Stop(), messages posted after the last barrier and still
+//       deferred are applied too, their broadcasts left pending as for the
+//       ones applied on arrival; nobody waits for a reply, so their sends
+//       are dropped
+//
+// The deferred messages are at most one tick's client messages, the same
+// bound as the outbound send batch the worker already accumulates until
+// the barrier. Inbox backpressure is unchanged: the inbox stays bounded,
+// the worker keeps popping it, and the router blocks on a full one as
+// before. Applying resident documents on arrival keeps the worker busy
+// while the router is still routing the tick; only the deferred documents
+// wait for the barrier, where the router waits for the reply anyway.
 //
 // Queue ownership: the inbox is MPSC in shape but single-producer in
 // practice (only the router posts); the reply queue's single producer is
@@ -43,13 +69,31 @@
 // in a deterministic order, so each shard's inbox receives a deterministic
 // subsequence of that order (FIFO per producer); within a shard, handling
 // is sequential, so all registry/broker behaviour — including every PRNG-
-// free decision — matches what a single-threaded broker fed the same
-// per-shard message sequence would do. Outbound traffic is buffered until
-// the kTick barrier and forwarded to the network in *shard order*, which
-// is deterministic too. Threads change only wall-clock overlap, never the
-// observable schedule. (Whether the N-shard schedule equals the 1-shard
-// schedule is a separate, stronger property; NetSimConfig::per_route_rng
-// plus one-doc-per-client workloads deliver it for the differential soak.)
+// free decision — is a function of the per-shard message sequence alone.
+// Outbound traffic is buffered until the kTick barrier and forwarded to the
+// network in *shard order*, which is deterministic too. Threads change only
+// wall-clock overlap, never the observable schedule. (Whether the N-shard
+// schedule equals the 1-shard schedule is a separate, stronger property;
+// NetSimConfig::per_route_rng plus one-doc-per-client workloads deliver it
+// for the differential soak.)
+//
+// Why grouping by document changes nothing observable: a document's
+// messages, sessions, patch cache and broadcast depend on no other
+// document, so handling each document's messages in their arrival order,
+// then its broadcast, yields per document exactly the replies, broadcasts,
+// stats and bytes that per-message handling followed by one tick-end flush
+// would — however the documents interleave. A deferred message is handled
+// at the tick it arrived at, so it stamps the same session times. The one
+// cross-document effect, the idle-session sweep, runs where per-message
+// handling runs it: the message due to sweep first has everything deferred
+// before it handled, then itself and the sweep (see Broker::Receive). On a
+// tick's first message, where sweeps normally fall, nothing is deferred
+// yet. Which documents are deferred, and in what order, is a function of
+// the message sequence and of residency, itself a function of the
+// per-shard history, so it is deterministic; it moves only the
+// interleaving of sends *across* documents — invisible to a client
+// subscribed to one document — and the registry's load/evict/flush
+// traffic. Every shard send is held until the barrier either way.
 //
 // Handoff protocol (rebalancing a document from shard A to shard B), run
 // by the router strictly between ticks:
@@ -108,7 +152,7 @@ struct ShardConfig {
 struct ShardRequest {
   enum class Kind : uint8_t {
     kClient,  // One inbound protocol message: (from, msg) at tick `now`.
-    kTick,    // Barrier: flush broadcasts, reply with the send batch.
+    kTick,    // Barrier: end the tick, reply with the send batch.
     kDrain,   // Handoff step 1: give up `doc` (chain + broker state).
     kAdopt,   // Handoff step 2: take ownership of `doc`.
   };

@@ -7,10 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "encoding/columnar.h"
+#include "obs/stats.h"
 #include "server/broker.h"
 #include "server/client.h"
 #include "server/netsim.h"
@@ -847,6 +852,277 @@ TEST(Broker, PatchReorderedAfterLeaveAppliesWithoutGhostSession) {
   EXPECT_EQ(h.broker.session_count(), 1u);  // No ghost session.
   EXPECT_EQ(h.registry.Open("doc").Text(), "last words");  // Edits kept.
   EXPECT_EQ(bob.doc("doc").Text(), "last words");  // Still broadcast to bob.
+}
+
+// --- Grouped tick handling (Broker::Receive / EndTick) ------------------------
+//
+// The grouped path must be per-message handling in disguise. One lossy NetSim
+// session is recorded against a plain broker (Handle per delivery,
+// FlushBroadcasts per tick); its per-tick inbound batches are then replayed
+// open-loop into two fresh brokers, one per message (Handle +
+// FlushBroadcasts) and one grouped (Receive + EndTick). Four documents
+// share three resident slots, so arrival order
+// interleaves them through the LRU; every client subscribes to exactly one
+// document, so per-destination send sequences are comparable; and sleepy
+// clients outlive the idle timeout, so the sweep expires sessions whose
+// owners later resurface.
+
+struct Inbound {
+  int from = -1;
+  Message msg;
+};
+
+struct TickBatch {
+  uint64_t now = 0;
+  std::vector<Inbound> msgs;
+};
+
+// Stands at the broker's endpoint: serves every delivery with a plain
+// per-message broker (so clients see real replies) and records what
+// arrived, tick by tick.
+class RecordingServer : public Endpoint {
+ public:
+  explicit RecordingServer(Broker& broker) : broker_(broker) {}
+
+  void OnMessage(NetSim& net, int from, int self, const Message& msg) override {
+    if (ticks.empty() || ticks.back().now != net.now()) {
+      ticks.push_back(TickBatch{net.now(), {}});
+    }
+    ticks.back().msgs.push_back(Inbound{from, msg});
+    NetSimSink sink(net, self);
+    broker_.Handle(sink, from, msg);
+  }
+  void OnTick(NetSim& net, int self) override {
+    NetSimSink sink(net, self);
+    broker_.FlushBroadcasts(sink);
+  }
+
+  std::vector<TickBatch> ticks;
+
+ private:
+  Broker& broker_;
+};
+
+// Logs every send, one sequence per destination.
+class LogSink final : public MessageSink {
+ public:
+  void Send(int to, Message msg) override {
+    sent[to].push_back(std::to_string(static_cast<int>(msg.type)) + "|" + msg.doc + "|" +
+                       msg.summary + "|" + msg.patch);
+  }
+  uint64_t now() const override { return now_; }
+
+  uint64_t now_ = 0;
+  std::map<int, std::vector<std::string>> sent;
+};
+
+// "" when both logs are equal, else where they first part (the payloads
+// are binary and long, so the logs themselves make unreadable failures).
+std::string FirstDifference(const std::map<int, std::vector<std::string>>& a,
+                            const std::map<int, std::vector<std::string>>& b) {
+  if (a.size() != b.size()) {
+    return std::to_string(a.size()) + " vs " + std::to_string(b.size()) + " destinations";
+  }
+  for (auto ia = a.begin(), ib = b.begin(); ia != a.end(); ++ia, ++ib) {
+    if (ia->first != ib->first) {
+      return "destination " + std::to_string(ia->first) + " vs " + std::to_string(ib->first);
+    }
+    const std::vector<std::string>& x = ia->second;
+    const std::vector<std::string>& y = ib->second;
+    for (size_t i = 0; i < std::max(x.size(), y.size()); ++i) {
+      if (i >= x.size() || i >= y.size() || x[i] != y[i]) {
+        return "destination " + std::to_string(ia->first) + ", send " + std::to_string(i);
+      }
+    }
+  }
+  return "";
+}
+
+DocRegistry::Config TickRegistryConfig() {
+  DocRegistry::Config config;
+  config.max_resident = 3;
+  return config;
+}
+
+Broker::Config TickBrokerConfig() {
+  Broker::Config config;
+  config.flush_every_events = 8;
+  config.session_idle_timeout = 8;  // Sweeps every 4 ticks.
+  return config;
+}
+
+struct TickServer {
+  MemStorage storage;
+  DocRegistry registry{storage, TickRegistryConfig()};
+  Broker broker{registry, TickBrokerConfig()};
+  LogSink sink;
+};
+
+std::vector<TickBatch> RecordTickScript(uint64_t seed, std::vector<std::string>* doc_names) {
+  constexpr int kDocs = 4;
+  constexpr int kClientsPerDoc = 3;
+  constexpr int kTicks = 160;
+  NetSimConfig net_config;
+  net_config.seed = seed;
+  net_config.min_latency = 1;
+  net_config.max_latency = 5;
+  net_config.drop = 0.08;
+  net_config.duplicate = 0.05;
+  NetSim net(net_config);
+  TickServer live;
+  RecordingServer server(live.broker);
+  int server_id = net.AddEndpoint(&server);
+
+  for (int d = 0; d < kDocs; ++d) {
+    doc_names->push_back("doc-" + std::to_string(d));
+  }
+  std::vector<CollabClient> clients;
+  clients.reserve(kDocs * kClientsPerDoc);
+  for (int i = 0; i < kDocs * kClientsPerDoc; ++i) {
+    clients.emplace_back("agent-" + std::to_string(i));
+  }
+  for (int i = 0; i < kDocs * kClientsPerDoc; ++i) {
+    clients[static_cast<size_t>(i)].Attach(net, server_id);
+    clients[static_cast<size_t>(i)].Join(
+        net, (*doc_names)[static_cast<size_t>(i / kClientsPerDoc)]);
+  }
+  std::vector<int> asleep_until(clients.size(), 0);
+  Prng rng(seed * 31 + 7);
+  for (int tick = 0; tick < kTicks; ++tick) {
+    for (size_t i = 0; i < clients.size(); ++i) {
+      CollabClient& client = clients[i];
+      const std::string& name = (*doc_names)[i / kClientsPerDoc];
+      if (tick < asleep_until[i]) {
+        continue;
+      }
+      if (rng.Chance(0.04)) {
+        // Silent for about the idle timeout or longer: the session may
+        // expire, and the client's next message may land on a sweep tick.
+        asleep_until[i] = tick + 6 + static_cast<int>(rng.Below(12));
+      }
+      if (rng.Chance(0.4)) {
+        Doc& doc = client.doc(name);
+        if (doc.size() > 8 && rng.Chance(0.3)) {
+          client.Delete(name, rng.Below(doc.size() - 2), 1 + rng.Below(2));
+        } else {
+          client.Insert(name, rng.Below(doc.size() + 1),
+                        std::string(1 + rng.Below(3), static_cast<char>('a' + i % 26)));
+        }
+      }
+      if (rng.Chance(0.3)) {
+        client.PushEdits(net, name);
+      }
+      if (rng.Chance(0.06)) {
+        client.RequestSync(net, name);
+      }
+    }
+    net.Tick();
+  }
+  net.set_config(NetSimConfig{});
+  for (size_t i = 0; i < clients.size(); ++i) {
+    clients[i].PushEdits(net, (*doc_names)[i / kClientsPerDoc]);
+    clients[i].RequestSync(net, (*doc_names)[i / kClientsPerDoc]);
+  }
+  EXPECT_TRUE(net.Run(200));
+  EXPECT_GT(live.broker.stats().expired, 0u);
+  EXPECT_GT(net.stats().dropped, 0u);
+  return std::move(server.ticks);
+}
+
+// Replays `ticks` into a per-message broker and a grouped one, with a
+// barrier (FlushBroadcasts / EndTick) after every `ticks_per_barrier`
+// recorded ticks, and compares everything a client or the disk can see.
+// With more than one tick per barrier a batch mixes ticks, as when a caller
+// posts after its barrier, and the idle sweep can fall mid-batch with
+// messages already deferred.
+void ExpectGroupedEqualsPerMessage(const std::vector<TickBatch>& ticks,
+                                   const std::vector<std::string>& doc_names,
+                                   size_t ticks_per_barrier) {
+  // Mirrors Broker::SweepDue for TickBrokerConfig: a message sweeps when
+  // the last sweep is half a timeout old, so a tick's first message does.
+  constexpr uint64_t kSweepEvery = 4;
+  uint64_t last_sweep = 0;
+  int sweeps_after_deferral = 0;
+  TickServer per_message;
+  TickServer grouped;
+  for (size_t first = 0; first < ticks.size(); first += ticks_per_barrier) {
+    const size_t last = std::min(ticks.size(), first + ticks_per_barrier);
+    for (size_t t = first; t < last; ++t) {
+      per_message.sink.now_ = ticks[t].now;
+      for (const Inbound& in : ticks[t].msgs) {
+        per_message.broker.Handle(per_message.sink, in.from, in.msg);
+      }
+    }
+    per_message.broker.FlushBroadcasts(per_message.sink);
+
+    std::set<std::string> cold;  // Not resident when the batch began.
+    for (size_t t = first; t < last; ++t) {
+      for (const Inbound& in : ticks[t].msgs) {
+        if (!grouped.registry.resident(in.msg.doc)) {
+          cold.insert(in.msg.doc);
+        }
+      }
+    }
+    bool sweeps = false;
+    const uint64_t loads = grouped.registry.stats().loads;
+    for (size_t t = first; t < last; ++t) {
+      if (ticks[t].now >= last_sweep + kSweepEvery) {
+        last_sweep = ticks[t].now;
+        sweeps = true;
+        sweeps_after_deferral += grouped.broker.has_deferred() ? 1 : 0;
+      }
+      grouped.sink.now_ = ticks[t].now;
+      for (const Inbound& in : ticks[t].msgs) {
+        grouped.broker.Receive(grouped.sink, in.from, in.msg);
+      }
+    }
+    grouped.broker.EndTick(grouped.sink);
+    EXPECT_FALSE(grouped.broker.has_deferred());
+    if (ticks_per_barrier == 1) {
+      // A tick loads only what was not resident when it began, plus at
+      // most the document a sweep's message evicts to load its own.
+      EXPECT_LE(grouped.registry.stats().loads - loads, cold.size() + (sweeps ? 1 : 0))
+          << "tick " << ticks[first].now;
+    }
+  }
+  if (ticks_per_barrier > 1) {
+    EXPECT_GT(sweeps_after_deferral, 0);  // The mid-batch sweep really ran.
+  }
+
+  EXPECT_EQ(FirstDifference(per_message.sink.sent, grouped.sink.sent), "");
+  EXPECT_TRUE(obs::StatsEqual(per_message.broker.stats(), grouped.broker.stats()));
+  EXPECT_GT(grouped.broker.stats().expired, 0u);
+  EXPECT_EQ(per_message.broker.session_count(), grouped.broker.session_count());
+  // Same protocol work, a fraction of the evict/reload churn.
+  EXPECT_GT(per_message.registry.stats().loads, 0u);
+  EXPECT_LT(grouped.registry.stats().loads, per_message.registry.stats().loads);
+
+  per_message.registry.FlushAll();
+  grouped.registry.FlushAll();
+  ChainLoadOptions eager;
+  eager.lazy_ops = false;
+  for (const std::string& name : doc_names) {
+    auto a = Doc::LoadChain(*per_message.storage.Chain(name), "!server", nullptr, eager);
+    auto b = Doc::LoadChain(*grouped.storage.Chain(name), "!server", nullptr, eager);
+    ASSERT_TRUE(a.has_value() && b.has_value()) << name;
+    EXPECT_GT(a->size(), 0u) << name;
+    EXPECT_EQ(a->Text(), b->Text()) << name;
+    EXPECT_TRUE(SummarizeDoc(*a) == SummarizeDoc(*b)) << name;
+    EXPECT_EQ(EncodeTrace(a->trace(), SaveOptions{}), EncodeTrace(b->trace(), SaveOptions{}))
+        << name;
+  }
+}
+
+TEST(Broker, GroupedTickHandlingEqualsPerMessageHandling) {
+  for (uint64_t seed : {3u, 17u, 29u}) {
+    std::vector<std::string> doc_names;
+    const std::vector<TickBatch> ticks = RecordTickScript(seed, &doc_names);
+    for (size_t ticks_per_barrier : {1u, 3u}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", " + std::to_string(ticks_per_barrier) +
+                   " ticks per barrier");
+      ExpectGroupedEqualsPerMessage(ticks, doc_names, ticks_per_barrier);
+    }
+  }
 }
 
 // --- The acceptance soak -----------------------------------------------------

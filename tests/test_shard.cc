@@ -9,7 +9,9 @@
 //     both deployments — sharding and handoff are invisible semantically;
 //   - a backpressure stress: tiny inboxes force the router to block on
 //     full queues mid-soak, and everything still converges (this is the
-//     test the ThreadSanitizer CI lane leans on hardest).
+//     test the ThreadSanitizer CI lane leans on hardest);
+//   - the handoff contract: a rebalance needs a barrier after the last
+//     client message, and Stop() applies messages no barrier followed.
 //
 // Why the differential can demand *byte* equality: with per_route_rng every
 // (from, to) route draws latency/drop/duplicate fates from its own stream,
@@ -29,9 +31,13 @@
 #include <string>
 #include <vector>
 
+#include "core/doc.h"
+#include "obs/stats.h"
 #include "server/client.h"
 #include "server/netsim.h"
 #include "server/router.h"
+#include "server/shard.h"
+#include "sync/patch.h"
 #include "util/prng.h"
 
 namespace egwalker {
@@ -88,11 +94,11 @@ struct ShardedOutcome {
 };
 
 // The same soak script for any shard count. Every client subscribes to
-// exactly one document (the byte-equality precondition, see file comment);
-// the registries are unbounded so forced rebalances are the only source of
-// eviction, keeping replay-work parity assertable.
+// exactly one document (the byte-equality precondition, see file comment).
+// By default the registries are unbounded, so forced rebalances are the
+// only source of eviction; `max_resident` > 0 adds LRU churn on top.
 void RunShardedSoak(int shards, uint64_t seed, ShardedOutcome* out,
-                    size_t queue_capacity = 256) {
+                    size_t queue_capacity = 256, size_t max_resident = 0) {
   constexpr int kDocs = 8;
   constexpr int kClientsPerDoc = 3;
   constexpr int kTicks = 90;
@@ -109,7 +115,7 @@ void RunShardedSoak(int shards, uint64_t seed, ShardedOutcome* out,
 
   RouterConfig router_config;
   router_config.shards = shards;
-  router_config.shard.registry.max_resident = 0;  // Unbounded: no LRU churn.
+  router_config.shard.registry.max_resident = max_resident;
   router_config.shard.broker.flush_every_events = 24;
   router_config.shard.broker.session_idle_timeout = 0;  // Sessions persist.
   router_config.shard.queue_capacity = queue_capacity;
@@ -234,7 +240,21 @@ void RunShardedSoak(int shards, uint64_t seed, ShardedOutcome* out,
   EXPECT_GT(out->broker.patches_applied, 0u);
   // Every forced rebalance drained (evicted) its document exactly once;
   // with unbounded registries nothing else evicts.
-  EXPECT_EQ(out->evictions, out->rebalances);
+  if (max_resident == 0) {
+    EXPECT_EQ(out->evictions, out->rebalances);
+  } else {
+    EXPECT_GT(out->evictions, out->rebalances);
+  }
+}
+
+// What a client can observe must be the same in both universes: the
+// documents, and the protocol-level work — the shards together did what the
+// single broker did, just on more threads.
+void ExpectSameUniverse(const ShardedOutcome& one, const ShardedOutcome& four) {
+  EXPECT_EQ(one.server_texts, four.server_texts);
+  EXPECT_EQ(one.client_texts, four.client_texts);
+  EXPECT_EQ(one.rebalances, four.rebalances);
+  EXPECT_TRUE(obs::StatsEqual(one.broker, four.broker));
 }
 
 TEST(ShardedSoak, FourShardsConvergeUnderAdversarialDeliveryWithRebalances) {
@@ -252,18 +272,33 @@ TEST(ShardedSoak, OneShardAndFourShardsAreByteIdenticalAcrossSeeds) {
     RunShardedSoak(/*shards=*/1, seed, &one);
     ShardedOutcome four;
     RunShardedSoak(/*shards=*/4, seed, &four);
-    EXPECT_EQ(one.server_texts, four.server_texts);
-    EXPECT_EQ(one.client_texts, four.client_texts);
-    EXPECT_EQ(one.rebalances, four.rebalances);
+    ExpectSameUniverse(one, four);
     // Handoff work is symmetric (self-handoffs on 1 shard), so the total
     // server-side walker replay must match exactly — sessions survived the
     // drains identically in both universes.
     EXPECT_EQ(one.server_replayed, four.server_replayed);
-    // So must the protocol-level work: the shards together did what the
-    // single broker did, just on more threads.
-    EXPECT_EQ(one.broker.patches_applied, four.broker.patches_applied);
-    EXPECT_EQ(one.broker.patches_rejected, four.broker.patches_rejected);
-    EXPECT_EQ(one.broker.broadcasts, four.broker.broadcasts);
+  }
+}
+
+// The same differential under LRU churn: one resident slot per shard, so
+// the single shard cycles all eight documents through one slot while each
+// of the four cycles its own two. Residency — and with it the order in
+// which a shard's tick handles its documents — differs between the
+// universes; what a client can observe must not. Registry counters
+// (flushes, loads) depend on capacity and are deliberately not compared,
+// and neither is server-side replay work: a chain reload re-seeds only the
+// newest critical version (the segment's anchor), so a merge whose events
+// are concurrent with it rebuilds from scratch where the never-evicted doc
+// would have replayed from an older cached critical version.
+TEST(ShardedSoak, OneShardAndFourShardsAreByteIdenticalUnderLruChurn) {
+  for (uint64_t seed : {11u, 22u, 33u, 44u, 55u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ShardedOutcome one;
+    RunShardedSoak(/*shards=*/1, seed, &one, /*queue_capacity=*/256, /*max_resident=*/1);
+    ShardedOutcome four;
+    RunShardedSoak(/*shards=*/4, seed, &four, /*queue_capacity=*/256, /*max_resident=*/1);
+    ExpectSameUniverse(one, four);
+    EXPECT_GT(one.evictions, four.evictions);  // Residency really differed.
   }
 }
 
@@ -274,6 +309,115 @@ TEST(ShardedSoak, SurvivesQueueBackpressureWithTinyInboxes) {
   ShardedOutcome outcome;
   RunShardedSoak(/*shards=*/4, /*seed=*/7, &outcome, /*queue_capacity=*/2);
   EXPECT_GT(outcome.blocked_pushes, 0u);
+}
+
+// The same with one resident slot per shard, so the workers defer most
+// messages to the barrier while the router blocks on their full inboxes.
+TEST(ShardedSoak, SurvivesQueueBackpressureWithTinyInboxesUnderLruChurn) {
+  ShardedOutcome outcome;
+  RunShardedSoak(/*shards=*/4, /*seed=*/7, &outcome, /*queue_capacity=*/2, /*max_resident=*/1);
+  EXPECT_GT(outcome.blocked_pushes, 0u);
+}
+
+// --- Handoff contract ----------------------------------------------------------
+
+// A client endpoint that ignores what it is sent.
+class Deaf final : public Endpoint {
+ public:
+  void OnMessage(NetSim&, int, int, const Message&) override {}
+};
+
+Message SyncRequest(const std::string& doc) {
+  Message msg;
+  msg.type = MsgType::kSyncRequest;
+  msg.doc = doc;
+  msg.summary = EncodeSummary(VersionSummary{});
+  return msg;
+}
+
+// A shard holds client messages for the next barrier, so a rebalance is
+// legal only once a barrier has followed every posted message. After one it
+// moves the document and its session; before one it dies on the caller's
+// thread, not on a shard worker's.
+TEST(RouterDeathTest, RebalanceNeedsABarrierAfterTheLastClientMessage) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  {
+    NetSim net;
+    RouterConfig config;
+    config.shards = 2;
+    Router router(config);
+    int self = router.Attach(net);
+    Deaf client;
+    int from = net.AddEndpoint(&client);
+    router.Assign("doc", 0);
+    router.OnMessage(net, from, self, SyncRequest("doc"));
+    net.Tick();  // The barrier.
+    router.Rebalance("doc", 1);
+    router.Stop();
+    EXPECT_EQ(router.ShardOf("doc"), 1);
+    EXPECT_EQ(router.shard(0).broker().session_count(), 0u);
+    EXPECT_EQ(router.shard(1).broker().session_count(), 1u);
+  }
+  EXPECT_DEATH(
+      {
+        NetSim net;
+        RouterConfig config;
+        config.shards = 2;
+        Router router(config);
+        int self = router.Attach(net);
+        Deaf client;
+        router.OnMessage(net, net.AddEndpoint(&client), self, SyncRequest("doc"));
+        router.Rebalance("doc", 1);
+      },
+      "posted_since_barrier_");
+}
+
+// --- Shard lifecycle -----------------------------------------------------------
+
+ShardRequest ClientPatch(const std::string& doc, const Doc& author, const VersionSummary& base,
+                         uint64_t now) {
+  ShardRequest req;
+  req.kind = ShardRequest::Kind::kClient;
+  req.from = 1;
+  req.now = now;
+  req.msg.type = MsgType::kPatch;
+  req.msg.doc = doc;
+  req.msg.summary = EncodeSummary(SummarizeDoc(author));
+  req.msg.patch = MakePatch(author, base);
+  return req;
+}
+
+// Client messages posted after the last barrier are still applied when the
+// shard stops — both the resident document's, applied on arrival, and the
+// new document's, which Stop() finds deferred.
+TEST(ShardLifecycle, StopAppliesMessagesPostedAfterTheLastBarrier) {
+  Shard shard;
+  shard.Start();
+  Doc alice("alice");
+  alice.Insert(0, "hello");
+  ASSERT_TRUE(shard.Post(ClientPatch("doc", alice, VersionSummary{}, /*now=*/1)));
+  ShardRequest tick;
+  tick.kind = ShardRequest::Kind::kTick;
+  tick.now = 1;
+  ASSERT_TRUE(shard.Post(tick));
+  shard.WaitReply();
+  // No barrier after these: two patches for the now-resident "doc", one
+  // for a document the shard has never seen.
+  VersionSummary seen = SummarizeDoc(alice);
+  alice.Insert(5, " world");
+  ASSERT_TRUE(shard.Post(ClientPatch("doc", alice, seen, /*now=*/2)));
+  seen = SummarizeDoc(alice);
+  alice.Insert(11, "!");
+  ASSERT_TRUE(shard.Post(ClientPatch("doc", alice, seen, /*now=*/2)));
+  Doc bob("bob");
+  bob.Insert(0, "fresh");
+  ASSERT_TRUE(shard.Post(ClientPatch("doc-2", bob, VersionSummary{}, /*now=*/2)));
+  shard.Stop();
+
+  EXPECT_EQ(shard.registry().Open("doc").Text(), "hello world!");
+  EXPECT_TRUE(SummarizeDoc(shard.registry().Open("doc")) == SummarizeDoc(alice));
+  EXPECT_EQ(shard.registry().Open("doc-2").Text(), "fresh");
+  EXPECT_EQ(shard.broker().stats().patches_applied, 4u);
 }
 
 }  // namespace
