@@ -15,6 +15,7 @@
 #include "core/walker.h"
 #include "graph/graph.h"
 #include "lz4/lz4.h"
+#include "lzhuf/lzhuf.h"
 #include "rope/rope.h"
 #include "rope/utf8.h"
 #include "sync/patch.h"
@@ -376,6 +377,31 @@ void BM_Lz4Decompress(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * prose.size());
 }
 BENCHMARK(BM_Lz4Decompress);
+
+// The column codec's two directions on 256 KiB of prose. Decompress is the
+// cached-open path (every v2 load decodes its cached-text column).
+void BM_LzhufCompress(benchmark::State& state) {
+  Prng rng(6);
+  std::string prose = GenerateProse(rng, 1 << 18);
+  for (auto _ : state) {
+    std::string c = lzhuf::Compress(prose);
+    benchmark::DoNotOptimize(c.size());
+  }
+  state.SetBytesProcessed(state.iterations() * prose.size());
+}
+BENCHMARK(BM_LzhufCompress);
+
+void BM_LzhufDecompress(benchmark::State& state) {
+  Prng rng(6);
+  std::string prose = GenerateProse(rng, 1 << 18);
+  std::string compressed = lzhuf::Compress(prose);
+  for (auto _ : state) {
+    auto out = lzhuf::Decompress(compressed, prose.size());
+    benchmark::DoNotOptimize(out->size());
+  }
+  state.SetBytesProcessed(state.iterations() * prose.size());
+}
+BENCHMARK(BM_LzhufDecompress);
 
 }  // namespace
 }  // namespace egwalker

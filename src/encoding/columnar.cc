@@ -150,6 +150,22 @@ struct ColumnMeta {
   uint32_t checksum = 0;
 };
 
+// The most raw bytes `stored_size` stored bytes can decode to under
+// `codec`. A directory entry claiming more is refused before any decoder
+// sizes a buffer by it.
+uint64_t MaxRawSize(uint8_t codec, uint64_t stored_size) {
+  switch (codec) {
+    case kCodecLz4:
+      return lz4::MaxDecompressedSize(stored_size);
+    case kCodecLzHuf:
+      return lzhuf::MaxDecompressedSize(stored_size);
+    case kCodecLzHufStatic:
+      return lzhuf::MaxDecompressedSizeStatic(stored_size);
+    default:
+      return stored_size;
+  }
+}
+
 // Parses and validates a directory (ids, codecs, size caps, offsets),
 // leaving the reader positioned at the first payload byte. Payloads are
 // not consumed. Returns nullptr on success.
@@ -179,6 +195,9 @@ const char* ReadColumnDirectory(ByteReader& reader, std::vector<ColumnMeta>& out
     if (*codec > kMaxCodec || *raw_size > kMaxColumnLen || *stored_size > kMaxColumnLen ||
         (*codec == kCodecRaw && *stored_size != *raw_size) || *checksum > 0xFFFFFFFFull) {
       return "bad column directory entry";
+    }
+    if (*raw_size > MaxRawSize(static_cast<uint8_t>(*codec), *stored_size)) {
+      return "column raw size exceeds its codec's expansion";
     }
     if (*offset != next_offset) {
       return "bad column offset";
@@ -867,6 +886,9 @@ std::optional<DecodeResult> DecodeTrace(std::string_view bytes, std::string* err
       if (!comp_len || !reader.ReadBytes(*comp_len, comp)) {
         return fail("truncated compressed content");
       }
+      if (*raw_content_len > lz4::MaxDecompressedSize(comp.size())) {
+        return fail("compressed content length exceeds its expansion");
+      }
       auto decompressed = lz4::Decompress(comp, *raw_content_len);
       if (!decompressed) {
         return fail("corrupt compressed content");
@@ -1256,6 +1278,9 @@ bool DecodeSegmentInto(Trace& trace, std::string_view bytes,
       std::string comp;
       if (!comp_len || !reader.ReadBytes(*comp_len, comp)) {
         return fail("truncated compressed segment content");
+      }
+      if (*raw_content_len > lz4::MaxDecompressedSize(comp.size())) {
+        return fail("compressed segment content length exceeds its expansion");
       }
       auto decompressed = lz4::Decompress(comp, *raw_content_len);
       if (!decompressed) {

@@ -63,6 +63,12 @@ size_t MaxCompressedSize(size_t src_size) {
   return src_size + src_size / 255 + 16;
 }
 
+size_t MaxDecompressedSize(size_t src_size) {
+  // A sequence's match part is a 2-byte offset plus k length bytes for at
+  // most 4 + 15 + 255 * k output bytes; literals cost a byte each.
+  return src_size * 255;
+}
+
 std::vector<LzStep> Parse(std::string_view src) {
   std::vector<LzStep> steps;
   const uint8_t* base = reinterpret_cast<const uint8_t*>(src.data());

@@ -40,6 +40,10 @@ std::vector<LzStep> Parse(std::string_view src);
 // Worst-case compressed size for `src_size` input bytes.
 size_t MaxCompressedSize(size_t src_size);
 
+// The most bytes a `src_size`-byte block can decompress to (255 per input
+// byte). Container readers refuse a raw size above it.
+size_t MaxDecompressedSize(size_t src_size);
+
 // Compresses `src` into LZ4 block format. Only the egbench harness and
 // tests call it; remove it once the harness stops timing it.
 std::string Compress(std::string_view src);

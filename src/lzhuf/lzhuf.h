@@ -9,17 +9,24 @@
 // savings of LZ4 on the EGWS columns while keeping the decoder strictly
 // bounds-checked.
 //
-// Stream layout (bit-packed, LSB-first within bytes):
+// Stream layout (bit-packed, LSB-first within bytes; docs/EGWS.md has the
+// normative description):
 //   lit/len code lengths   RLE of 4-bit lengths (see lzhuf.cc)
 //   distance code lengths  same scheme
 //   symbols                Huffman codes emitted MSB-first; length and
 //                          distance codes carry LSB-first extra bits
 //   end-of-block           symbol 256 terminates the stream
 //
+// The decoder keeps a 64-bit bit buffer and resolves each symbol with one
+// lookup in a 10-bit table indexed by the next stream bits; only codes
+// longer than that take the canonical bit-by-bit rule.
+//
 // Framing (where the decompressed size lives) is the caller's problem, like
 // lz4.h. Decompress returns std::nullopt on any malformed input: bad code
 // length tables, over-long reads, out-of-window distances, output size
-// mismatch — it never crashes and never returns partial output.
+// mismatch — it never crashes and never returns partial output. It
+// allocates the output only after checking that the input is long enough
+// to produce it (MaxDecompressedSize).
 
 #ifndef EGWALKER_LZHUF_LZHUF_H_
 #define EGWALKER_LZHUF_LZHUF_H_
@@ -48,6 +55,14 @@ std::optional<std::string> Decompress(std::string_view src, size_t decompressed_
 // interchangeable — a stream must be decoded by the variant that wrote it.
 std::string CompressStatic(std::string_view src);
 std::optional<std::string> DecompressStatic(std::string_view src, size_t decompressed_size);
+
+// The most bytes a `stored_size`-byte stream of each variant can decode to.
+// A match yields at most 259 bytes for at least 2 bits (dynamic code) or 13
+// bits (static code), after the tables and end-of-block. Larger
+// decompressed sizes are rejected up front; container readers use the same
+// bound to refuse a directory entry that claims more.
+size_t MaxDecompressedSize(size_t stored_size);
+size_t MaxDecompressedSizeStatic(size_t stored_size);
 
 }  // namespace egwalker::lzhuf
 

@@ -20,12 +20,18 @@
 //   - one hostile generator preset (storm/swarm/sparse-late/mass-return,
 //     docs/TRACES.md) at seed-randomised size, replayed under every sort
 //     order with and without clearing against the oracle — the sibling-group
-//     fast path must never change a byte.
+//     fast path must never change a byte;
+//   - the lzhuf decoders directly: seed-random column-like payloads
+//     compressed under both codes, then the stream and its mutations decoded
+//     by the library and by the bit-serial reference, requiring the same
+//     accept/reject result and bytes. (Mutated segments above rarely reach a
+//     decoder: the column checksum rejects them first.)
 //
 // Usage: fuzz_all [count] [start_seed]
 //   ./build/tests/fuzz_all 100000       # long background hunt
 //   ./build/tests/fuzz_all 60 9000      # quick slice from another seed base
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -35,13 +41,16 @@
 #include "core/simple_walker.h"
 #include "core/walker.h"
 #include "encoding/columnar.h"
+#include "lzhuf/lzhuf.h"
 #include "crdt/naive_crdt.h"
 #include "crdt/ref_crdt.h"
 #include "ot/ot.h"
 #include "sync/patch.h"
 #include "testing/fixtures.h"
+#include "testing/lzhuf_reference.h"
 #include "testing/random_trace.h"
 #include "trace/generate.h"
+#include "util/varint.h"
 
 namespace egwalker {
 namespace {
@@ -50,6 +59,7 @@ bool CheckDiffCacheAndCursor(uint64_t seed, const Trace& t);
 bool CheckSessionPatchSequences(uint64_t seed);
 bool CheckSegmentCorruption(uint64_t seed);
 bool CheckHostilePreset(uint64_t seed);
+bool CheckLzhufDifferential(uint64_t seed);
 
 bool CheckSeed(uint64_t seed) {
   testing::RandomTraceOptions opts;
@@ -106,7 +116,57 @@ bool CheckSeed(uint64_t seed) {
     return false;
   }
   return CheckSessionPatchSequences(seed) && CheckSegmentCorruption(seed) &&
-         CheckHostilePreset(seed);
+         CheckHostilePreset(seed) && CheckLzhufDifferential(seed);
+}
+
+// Column-like payloads (varint runs, small deltas, prose, opaque bytes,
+// one byte repeated) of seed-random shape and size, under both lzhuf codes:
+// the library decoder against the reference on each stream and its
+// mutations.
+bool CheckLzhufDifferential(uint64_t seed) {
+  Prng rng(seed ^ 0x17f5);
+  for (int payload = 0; payload < 2; ++payload) {
+    std::string raw;
+    const size_t target = rng.Below(rng.Chance(0.3) ? 64 : 800);
+    const uint64_t shape = rng.Below(5);
+    while (raw.size() < target) {
+      switch (shape) {
+        case 0:  // Varints of mostly small values.
+          AppendVarint(raw, rng.Below(rng.Chance(0.9) ? 200 : 1u << 20));
+          break;
+        case 1:  // Small zigzag deltas, mostly non-negative.
+          raw.push_back(static_cast<char>(rng.Below(4) * 2 + (rng.Chance(0.1) ? 1 : 0)));
+          break;
+        case 2:
+          raw += GenerateProse(rng, 1 + rng.Below(80));
+          break;
+        case 3:  // Opaque bytes with repeats.
+          if (!raw.empty() && rng.Chance(0.4)) {
+            const size_t from = rng.Below(raw.size());
+            raw += raw.substr(from, 1 + rng.Below(std::min<size_t>(raw.size() - from, 300)));
+          } else {
+            raw.push_back(static_cast<char>(rng.Next() & 0xff));
+          }
+          break;
+        default:
+          raw.append(1 + rng.Below(600), static_cast<char>(rng.Below(3)));
+          break;
+      }
+    }
+    for (bool static_code : {false, true}) {
+      const std::string stream =
+          static_code ? lzhuf::CompressStatic(raw) : lzhuf::Compress(raw);
+      const std::string err =
+          lzhuf_reference::DifferentialSweep(static_code, stream, raw.size(), rng, 40);
+      if (!err.empty()) {
+        std::fprintf(stderr, "LZHUF DECODER MISMATCH seed=%llu payload=%d %s: %s\n",
+                     static_cast<unsigned long long>(seed), payload,
+                     static_code ? "static" : "dynamic", err.c_str());
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 // Hostile generator presets (docs/TRACES.md) at seed-randomised sizes: the

@@ -7,6 +7,7 @@
 
 #include "core/doc.h"
 #include "core/walker.h"
+#include "lzhuf/lzhuf.h"
 #include "testing/fixtures.h"
 #include "testing/random_trace.h"
 #include "testing/trace_dump.h"
@@ -349,6 +350,95 @@ TEST(SegmentV2, TrailingGarbageIsRejected) {
   std::string error;
   EXPECT_FALSE(DecodeSegmentInto(scratch, seg, &cached, &error));
   EXPECT_FALSE(error.empty());
+}
+
+// A directory entry is a claim about its payload: no compressed column
+// can decode to more than its codec's maximum expansion of its stored
+// bytes, so a larger raw_size is refused with the directory, before any
+// decoder sizes a buffer by it.
+TEST(SegmentV2, RawSizeBeyondTheCodecsExpansionIsRejected) {
+  Doc doc("alice");
+  for (int i = 0; i < 40; ++i) {
+    doc.Insert(doc.size(), "column payloads compress well when they repeat; ");
+  }
+  SaveOptions opts;
+  opts.cache_final_doc = true;
+  const std::string seg = doc.SaveSegment(0, opts);
+  auto info = PeekSegment(seg);
+  ASSERT_TRUE(info.has_value());
+  int compressed = 0;
+  for (const SegmentColumn& col : info->columns) {
+    if (col.codec == 0) {
+      continue;
+    }
+    ++compressed;
+    const uint64_t bound = col.codec == 2 ? lzhuf::MaxDecompressedSize(col.stored_size)
+                                          : lzhuf::MaxDecompressedSizeStatic(col.stored_size);
+    ASSERT_LE(col.raw_size, bound);
+    for (uint64_t claimed : {bound + 1, uint64_t{1} << 28}) {
+      const std::string lying = testing::RewriteColumns(seg, [&](testing::StoredColumnEntry& c) {
+        if (c.id == col.id) {
+          c.raw_size = claimed;
+        }
+      });
+      EXPECT_FALSE(PeekSegment(lying).has_value()) << int{col.id} << " " << claimed;
+      Trace scratch;
+      std::optional<std::string> cached;
+      std::string error;
+      EXPECT_FALSE(DecodeSegmentInto(scratch, lying, &cached, &error)) << int{col.id};
+      EXPECT_NE(error.find("expansion"), std::string::npos) << error;
+      EXPECT_FALSE(Doc::LoadChain({lying}, "bob").has_value()) << int{col.id};
+    }
+    // At the bound itself the directory is well-formed; only decoding the
+    // column (lazily, for ops and content) can refuse it.
+    const std::string at_bound = testing::RewriteColumns(seg, [&](testing::StoredColumnEntry& c) {
+      if (c.id == col.id) {
+        c.raw_size = bound;
+      }
+    });
+    EXPECT_TRUE(PeekSegment(at_bound).has_value()) << int{col.id};
+  }
+  EXPECT_GE(compressed, 2);  // Content and the cached document at least.
+
+  // The same holds for LZ4 (codec 1) columns: 255 raw bytes per stored byte.
+  SaveOptions raw = opts;
+  raw.compress_columns = false;
+  const std::string lz4_seg =
+      testing::RewriteColumnsAsLz4(doc.SaveSegment(0, raw), {testing::kContentColumn});
+  ASSERT_TRUE(Doc::LoadChain({lz4_seg}, "bob").has_value());
+  const std::string lz4_lying =
+      testing::RewriteColumns(lz4_seg, [](testing::StoredColumnEntry& c) {
+        if (c.codec == 1) {
+          c.raw_size = c.stored.size() * 255 + 1;
+        }
+      });
+  EXPECT_FALSE(PeekSegment(lz4_lying).has_value());
+  EXPECT_FALSE(Doc::LoadChain({lz4_lying}, "bob").has_value());
+}
+
+// The codec's best ratio, one byte repeated, sits near the expansion
+// bound and must still load.
+TEST(SegmentV2, MaximumRatioColumnRoundTrips) {
+  const std::string text(1 << 20, 'x');
+  Doc doc("alice");
+  doc.Insert(0, text);
+  SaveOptions opts;
+  opts.cache_final_doc = true;
+  const std::string seg = doc.SaveSegment(0, opts);
+  auto info = PeekSegment(seg);
+  ASSERT_TRUE(info.has_value());
+  bool saw_content = false;
+  for (const SegmentColumn& col : info->columns) {
+    if (col.raw_size == text.size()) {
+      EXPECT_EQ(col.codec, 2u) << int{col.id};
+      EXPECT_GT(col.raw_size, lzhuf::MaxDecompressedSize(col.stored_size) / 2) << int{col.id};
+      saw_content = true;
+    }
+  }
+  EXPECT_TRUE(saw_content);
+  auto loaded = Doc::LoadChain({seg}, "bob");
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->Text(), text);
 }
 
 TEST(ColumnarV2, EncodersRejectEveryOtherFormatVersion) {

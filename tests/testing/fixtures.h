@@ -8,7 +8,8 @@
 //   - V2HeadV1TailChain puts a v2 segment in front of v1 ones;
 //   - TranscodeChain re-encodes a chain segment by segment as v2, keeping
 //     every segment's window, cached document and session checkpoint;
-//   - RewriteColumnsAsLz4 turns raw v2 columns into codec-1 (LZ4) columns.
+//   - RewriteColumnsAsLz4 turns raw v2 columns into codec-1 (LZ4) columns;
+//     RewriteColumns, which it is built on, edits directory entries at will.
 
 #ifndef EGWALKER_TESTS_TESTING_FIXTURES_H_
 #define EGWALKER_TESTS_TESTING_FIXTURES_H_
@@ -91,11 +92,20 @@ inline std::vector<std::string> V2HeadV1TailChain() {
   return chain;
 }
 
-// Rewrites a v2 EGWK file or EGWS segment whose columns are all stored raw
-// (compress_columns = false) so that columns `ids` are stored as LZ4
-// blocks with codec 1; stored sizes, offsets and checksums follow.
-inline std::string RewriteColumnsAsLz4(const std::string& bytes,
-                                       std::initializer_list<uint8_t> ids) {
+// One v2 directory entry with its payload, as RewriteColumns hands it out.
+struct StoredColumnEntry {
+  uint8_t id = 0;
+  uint8_t codec = 0;
+  uint64_t raw_size = 0;
+  std::string stored;
+};
+
+// Re-emits a v2 EGWK file or EGWS segment after `edit` has changed its
+// column entries in place. Stored sizes, offsets and checksums follow the
+// edited payloads; codecs and raw sizes are written as `edit` left them,
+// valid or not.
+template <typename Edit>
+std::string RewriteColumns(const std::string& bytes, Edit edit) {
   ByteReader r(bytes);
   std::string magic;
   EGW_CHECK(r.ReadBytes(4, magic) && (magic == "EGWK" || magic == "EGWS"));
@@ -122,15 +132,9 @@ inline std::string RewriteColumnsAsLz4(const std::string& bytes,
   }
   std::string out = bytes.substr(0, r.position());
 
-  struct Column {
-    uint8_t id;
-    uint8_t codec;
-    uint64_t raw_size;
-    std::string stored;
-  };
-  std::vector<Column> cols(*r.ReadVarint());
+  std::vector<StoredColumnEntry> cols(*r.ReadVarint());
   std::vector<uint64_t> stored_sizes;
-  for (Column& c : cols) {
+  for (StoredColumnEntry& c : cols) {
     c.id = *r.ReadByte();
     c.codec = *r.ReadByte();
     c.raw_size = *r.ReadVarint();
@@ -143,18 +147,12 @@ inline std::string RewriteColumnsAsLz4(const std::string& bytes,
   }
   EGW_CHECK(r.empty());
 
-  for (Column& c : cols) {
-    for (uint8_t id : ids) {
-      if (c.id == id) {
-        EGW_CHECK(c.codec == 0);
-        c.stored = lz4::Compress(c.stored);
-        c.codec = 1;
-      }
-    }
+  for (StoredColumnEntry& c : cols) {
+    edit(c);
   }
   AppendVarint(out, cols.size());
   uint64_t offset = 0;
-  for (const Column& c : cols) {
+  for (const StoredColumnEntry& c : cols) {
     out.push_back(static_cast<char>(c.id));
     out.push_back(static_cast<char>(c.codec));
     AppendVarint(out, c.raw_size);
@@ -163,10 +161,26 @@ inline std::string RewriteColumnsAsLz4(const std::string& bytes,
     AppendVarint(out, Fnv1a(c.stored));
     offset += c.stored.size();
   }
-  for (const Column& c : cols) {
+  for (const StoredColumnEntry& c : cols) {
     out += c.stored;
   }
   return out;
+}
+
+// Rewrites a v2 EGWK file or EGWS segment whose columns are all stored raw
+// (compress_columns = false) so that columns `ids` are stored as LZ4
+// blocks with codec 1.
+inline std::string RewriteColumnsAsLz4(const std::string& bytes,
+                                       std::initializer_list<uint8_t> ids) {
+  return RewriteColumns(bytes, [&](StoredColumnEntry& c) {
+    for (uint8_t id : ids) {
+      if (c.id == id) {
+        EGW_CHECK(c.codec == 0);
+        c.stored = lz4::Compress(c.stored);
+        c.codec = 1;
+      }
+    }
+  });
 }
 
 }  // namespace egwalker::testing
