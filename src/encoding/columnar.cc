@@ -103,23 +103,13 @@ void AppendColumnBlock(std::string& out, const std::vector<ColumnSpec>& cols, bo
       // Segments compress once and decode many times, so trying both
       // lzhuf codes is the right trade. Tiny columns only get the
       // table-less static code; mid-size columns race it against the
-      // dynamic code.
-      std::string packed;
-      uint8_t packed_codec = kCodecLzHufStatic;
-      if (raw.size() < kStaticTryMax) {
-        packed = lzhuf::CompressStatic(raw);
-      }
-      if (raw.size() >= kCompressMinLen) {
-        std::string dyn = lzhuf::Compress(raw);
-        if (packed.empty() || dyn.size() < packed.size()) {
-          packed = std::move(dyn);
-          packed_codec = kCodecLzHuf;
-        }
-      }
+      // dynamic code, over one parse.
+      lzhuf::Smallest packed = lzhuf::CompressSmallest(raw, raw.size() < kStaticTryMax,
+                                                       raw.size() >= kCompressMinLen);
       // Keep the compressed form only when it saves at least 1/8th.
-      if (packed.size() <= raw.size() - raw.size() / 8) {
-        stored[i] = std::move(packed);
-        codec[i] = packed_codec;
+      if (packed.stream.size() <= raw.size() - raw.size() / 8) {
+        stored[i] = std::move(packed.stream);
+        codec[i] = packed.code == lzhuf::Code::kStatic ? kCodecLzHufStatic : kCodecLzHuf;
         continue;
       }
     }

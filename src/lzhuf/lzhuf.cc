@@ -545,6 +545,17 @@ const StaticDecoders& GetStaticDecoders() {
   return decoders;
 }
 
+// CompressStatic over a given parse.
+std::string StaticStream(std::string_view src, const std::vector<lz4::LzStep>& steps) {
+  std::vector<uint8_t> lit_lengths;
+  std::vector<uint8_t> dist_lengths;
+  StaticLengths(&lit_lengths, &dist_lengths);
+  BitWriter writer;
+  EmitStream(writer, src, steps, lit_lengths, ReversedCodes(lit_lengths), dist_lengths,
+             ReversedCodes(dist_lengths));
+  return writer.Finish();
+}
+
 }  // namespace
 
 size_t MaxDecompressedSize(size_t stored_size) {
@@ -569,9 +580,9 @@ size_t MaxDecompressedSizeStatic(size_t stored_size) {
   return bits / 13 * kMaxMatch + bits % 13 / 8;
 }
 
-std::string Compress(std::string_view src) {
-  std::vector<lz4::LzStep> steps = lz4::Parse(src);
+std::string Compress(std::string_view src) { return Compress(src, lz4::Parse(src)); }
 
+std::string Compress(std::string_view src, const std::vector<lz4::LzStep>& steps) {
   // Pass 1: symbol frequencies. Long matches are split into <= kMaxMatch
   // chunks (every chunk >= 4, see the emit loop).
   std::vector<uint64_t> lit_freq(kLitLenSymbols, 0);
@@ -629,15 +640,23 @@ std::optional<std::string> Decompress(std::string_view src, size_t decompressed_
   return DecodeStream(in, lit_dec, dist_dec, decompressed_size);
 }
 
-std::string CompressStatic(std::string_view src) {
-  std::vector<lz4::LzStep> steps = lz4::Parse(src);
-  std::vector<uint8_t> lit_lengths;
-  std::vector<uint8_t> dist_lengths;
-  StaticLengths(&lit_lengths, &dist_lengths);
-  BitWriter writer;
-  EmitStream(writer, src, steps, lit_lengths, ReversedCodes(lit_lengths), dist_lengths,
-             ReversedCodes(dist_lengths));
-  return writer.Finish();
+std::string CompressStatic(std::string_view src) { return StaticStream(src, lz4::Parse(src)); }
+
+Smallest CompressSmallest(std::string_view src, bool try_static, bool try_dynamic) {
+  Smallest best;
+  const std::vector<lz4::LzStep> steps = lz4::Parse(src);
+  if (try_static) {
+    best.stream = StaticStream(src, steps);
+    best.code = Code::kStatic;
+  }
+  if (try_dynamic) {
+    std::string dynamic = Compress(src, steps);
+    if (!try_static || dynamic.size() < best.stream.size()) {
+      best.stream = std::move(dynamic);
+      best.code = Code::kDynamic;
+    }
+  }
+  return best;
 }
 
 std::optional<std::string> DecompressStatic(std::string_view src, size_t decompressed_size) {

@@ -9,6 +9,12 @@
 // savings of LZ4 on the EGWS columns while keeping the decoder strictly
 // bounds-checked.
 //
+// The parse is the encoder's choice, not part of the format: the decoders
+// accept any valid step stream, so a different matcher changes the bytes
+// Compress writes but never what an existing stream decodes to. Parsing is
+// nearly all of an encode's time, so the columnar encoder's codec race
+// codes one parse both ways (CompressSmallest).
+//
 // Stream layout (bit-packed, LSB-first within bytes; docs/EGWS.md has the
 // normative description):
 //   lit/len code lengths   RLE of 4-bit lengths (see lzhuf.cc)
@@ -35,6 +41,9 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
+
+#include "lz4/lz4.h"
 
 namespace egwalker::lzhuf {
 
@@ -55,6 +64,24 @@ std::optional<std::string> Decompress(std::string_view src, size_t decompressed_
 // interchangeable — a stream must be decoded by the variant that wrote it.
 std::string CompressStatic(std::string_view src);
 std::optional<std::string> DecompressStatic(std::string_view src, size_t decompressed_size);
+
+// Compress over a given parse of `src`, which must meet lz4::Parse's
+// contract. Compress(src) is Compress(src, lz4::Parse(src)).
+std::string Compress(std::string_view src, const std::vector<lz4::LzStep>& steps);
+
+// Which variant wrote a stream.
+enum class Code { kStatic, kDynamic };
+
+struct Smallest {
+  std::string stream;
+  Code code = Code::kStatic;
+};
+
+// Parses `src` once and codes the parse under the static code if
+// `try_static`, under the dynamic one if `try_dynamic` (at least one must
+// be set); returns the shorter stream, the static one on a tie. The bytes
+// are those of racing CompressStatic(src) against Compress(src).
+Smallest CompressSmallest(std::string_view src, bool try_static, bool try_dynamic);
 
 // The most bytes a `stored_size`-byte stream of each variant can decode to.
 // A match yields at most 259 bytes for at least 2 bits (dynamic code) or 13

@@ -26,6 +26,8 @@
 //     by the library and by the bit-serial reference, requiring the same
 //     accept/reject result and bytes. (Mutated segments above rarely reach a
 //     decoder: the column checksum rejects them first.)
+//   - the shared LZ parse: seed-random inputs, some past the 64 KiB window,
+//     checked against the parse contract.
 //
 // Usage: fuzz_all [count] [start_seed]
 //   ./build/tests/fuzz_all 100000       # long background hunt
@@ -41,12 +43,15 @@
 #include "core/simple_walker.h"
 #include "core/walker.h"
 #include "encoding/columnar.h"
+#include "lz4/lz4.h"
 #include "lzhuf/lzhuf.h"
 #include "crdt/naive_crdt.h"
 #include "crdt/ref_crdt.h"
 #include "ot/ot.h"
 #include "sync/patch.h"
+#include "testing/codec_inputs.h"
 #include "testing/fixtures.h"
+#include "testing/lz_reference.h"
 #include "testing/lzhuf_reference.h"
 #include "testing/random_trace.h"
 #include "trace/generate.h"
@@ -60,6 +65,7 @@ bool CheckSessionPatchSequences(uint64_t seed);
 bool CheckSegmentCorruption(uint64_t seed);
 bool CheckHostilePreset(uint64_t seed);
 bool CheckLzhufDifferential(uint64_t seed);
+bool CheckLzParse(uint64_t seed);
 
 bool CheckSeed(uint64_t seed) {
   testing::RandomTraceOptions opts;
@@ -116,7 +122,46 @@ bool CheckSeed(uint64_t seed) {
     return false;
   }
   return CheckSessionPatchSequences(seed) && CheckSegmentCorruption(seed) &&
-         CheckHostilePreset(seed) && CheckLzhufDifferential(seed);
+         CheckHostilePreset(seed) && CheckLzhufDifferential(seed) && CheckLzParse(seed);
+}
+
+// The shared LZ parse against its contract (tests/testing/lz_reference.h)
+// on seed-random inputs: structured bytes, prose, short periods and runs,
+// and on one seed in eight an input past the 64 KiB window, where the
+// match finder's tables wrap.
+bool CheckLzParse(uint64_t seed) {
+  Prng rng(seed ^ 0x1a9e);
+  for (int input_no = 0; input_no < 3; ++input_no) {
+    const size_t size = rng.Below(input_no == 0 && seed % 8 == 0 ? 150000 : 3000);
+    std::string input;
+    switch (rng.Below(4)) {
+      case 0:
+        input = testing::StructuredInput(rng, size);
+        break;
+      case 1:
+        input = GenerateProse(rng, size);
+        break;
+      case 2: {
+        const size_t period = 1 + rng.Below(12);
+        for (size_t i = 0; i < size; ++i) {
+          input.push_back(static_cast<char>('a' + (i % period)));
+        }
+        break;
+      }
+      default:
+        while (input.size() < size) {
+          input.append(1 + rng.Below(300), static_cast<char>(rng.Below(3)));
+        }
+        break;
+    }
+    const std::string err = lz_reference::CheckParse(input, lz4::Parse(input));
+    if (!err.empty()) {
+      std::fprintf(stderr, "LZ PARSE CONTRACT seed=%llu input=%d size=%zu: %s\n",
+                   static_cast<unsigned long long>(seed), input_no, input.size(), err.c_str());
+      return false;
+    }
+  }
+  return true;
 }
 
 // Column-like payloads (varint runs, small deltas, prose, opaque bytes,

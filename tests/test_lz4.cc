@@ -1,10 +1,16 @@
 // Tests for the LZ4 block codec: round trips, compression effectiveness on
-// text-like input, and decoder robustness against corrupt input.
+// text-like input, decoder robustness against corrupt input, and the
+// contract of the shared LZ parse (lz4::Parse).
 
 #include "lz4/lz4.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "testing/codec_inputs.h"
+#include "testing/lz_reference.h"
 #include "trace/generate.h"
 #include "util/prng.h"
 
@@ -146,6 +152,66 @@ TEST(Lz4, FuzzRoundTripsRandomStructuredInputs) {
     ASSERT_TRUE(out.has_value()) << iter;
     ASSERT_EQ(*out, input) << iter;
   }
+}
+
+// The parse contract (lz4.h): the steps cover the input exactly, every
+// step but the last carries a match of >= 4 bytes at an offset in
+// [1, min(position, 65535)], the last step is literal-only, and replaying
+// the steps gives the input back.
+TEST(Lz4, ParseMeetsContractOnGoldenInputs) {
+  for (const auto& [name, input] : testing::GoldenInputs()) {
+    EXPECT_EQ(lz_reference::CheckParse(input, lz4::Parse(input)), "") << name;
+  }
+}
+
+TEST(Lz4, ParseMeetsContractOnStructuredInputs) {
+  Prng rng(4242);
+  for (int iter = 0; iter < 200; ++iter) {
+    const std::string input = testing::StructuredInput(rng, rng.Below(4000));
+    ASSERT_EQ(lz_reference::CheckParse(input, lz4::Parse(input)), "") << iter;
+  }
+  // Past the 64 KiB window, where the match finder's tables wrap.
+  for (size_t target : {65536u + 13, 200000u}) {
+    const std::string input = testing::StructuredInput(rng, target);
+    EXPECT_EQ(lz_reference::CheckParse(input, lz4::Parse(input)), "") << target;
+  }
+  Prng prose_rng(8);
+  const std::string prose = GenerateProse(prose_rng, 300000);
+  EXPECT_EQ(lz_reference::CheckParse(prose, lz4::Parse(prose)), "");
+}
+
+// A copy 65535 bytes back is in the window and must be found; one byte
+// further back it is out of reach.
+TEST(Lz4, ParseUsesTheWholeWindowAndNoMore) {
+  for (size_t distance : {65535u, 65536u}) {
+    Prng rng(distance);
+    std::string input;
+    for (size_t i = 0; i < distance; ++i) {
+      input.push_back(static_cast<char>(rng.Next() & 0xff));
+    }
+    input += input.substr(0, 64);
+    const std::vector<lz4::LzStep> steps = lz4::Parse(input);
+    ASSERT_EQ(lz_reference::CheckParse(input, steps), "") << distance;
+    const bool found = std::any_of(steps.begin(), steps.end(), [&](const lz4::LzStep& step) {
+      return step.offset == 65535 && step.match_len >= 32;
+    });
+    EXPECT_EQ(found, distance == 65535) << distance;
+  }
+}
+
+// The checker itself must reject broken parses.
+TEST(Lz4, CheckParseRejectsBrokenSteps) {
+  const std::string input = "abcdabcdabcdabcdabcd";
+  using Steps = std::vector<lz4::LzStep>;
+  EXPECT_EQ(lz_reference::CheckParse(input, Steps{{4, 16, 4}, {0, 0, 0}}), "");
+  EXPECT_NE(lz_reference::CheckParse(input, Steps{}), "");
+  EXPECT_NE(lz_reference::CheckParse(input, Steps{{4, 16, 4}}), "");           // Ends on a match.
+  EXPECT_NE(lz_reference::CheckParse(input, Steps{{4, 3, 4}, {13, 0, 0}}), "");  // Short match.
+  EXPECT_NE(lz_reference::CheckParse(input, Steps{{4, 16, 5}, {0, 0, 0}}), "");  // Offset > pos.
+  EXPECT_NE(lz_reference::CheckParse(input, Steps{{4, 16, 0}, {0, 0, 0}}), "");  // Offset 0.
+  EXPECT_NE(lz_reference::CheckParse(input, Steps{{4, 16, 3}, {0, 0, 0}}), "");  // Wrong bytes.
+  EXPECT_NE(lz_reference::CheckParse(input, Steps{{4, 12, 4}, {0, 0, 0}}), "");  // Too short.
+  EXPECT_NE(lz_reference::CheckParse(input, Steps{{4, 12, 4}, {8, 0, 0}}), "");  // Too long.
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Tests for the LZ + canonical-Huffman codec, dynamic and static variants:
 // round trips, the tiny-column regime the static code exists for,
 // fail-closed decoding of corrupt input, the encoder's bytes pinned by
-// digest, and the table-driven decoder against the bit-serial reference
-// (tests/testing/lzhuf_reference.h) on pristine, mutated and hand-built
-// streams.
+// digest, the one-parse codec race, the coded size against the reference
+// parser (tests/testing/lz_reference.h), and the table-driven decoder
+// against the bit-serial reference (tests/testing/lzhuf_reference.h) on
+// pristine, mutated and hand-built streams.
 
 #include "lzhuf/lzhuf.h"
 
@@ -15,12 +16,18 @@
 #include <utility>
 #include <vector>
 
+#include "testing/codec_inputs.h"
+#include "testing/lz_reference.h"
 #include "testing/lzhuf_reference.h"
 #include "trace/generate.h"
 #include "util/prng.h"
 
 namespace egwalker {
 namespace {
+
+using testing::GoldenInputs;
+using testing::SkewedInput;
+using testing::StructuredInput;
 
 uint64_t Fnv64(std::string_view bytes) {
   uint64_t h = 14695981039346656037ull;
@@ -29,79 +36,6 @@ uint64_t Fnv64(std::string_view bytes) {
     h *= 1099511628211ull;
   }
   return h;
-}
-
-// Literal-heavy input whose lit/len code reaches the 15-bit limit: 64 KiB
-// of random high bytes (which the LZ parse cannot match) with rare bytes
-// 'a'.. scattered in at Fibonacci frequencies 1, 1, 2, 3, 5, ...
-std::string SkewedInput() {
-  Prng rng(11);
-  std::string input;
-  for (int i = 0; i < 65536; ++i) {
-    input.push_back(static_cast<char>(0x80 + rng.Below(128)));
-  }
-  uint64_t a = 1;
-  uint64_t b = 1;
-  for (int sym = 0; sym < 14; ++sym) {
-    for (uint64_t k = 0; k < a; ++k) {
-      input.insert(input.begin() + static_cast<std::ptrdiff_t>(rng.Below(input.size() + 1)),
-                   static_cast<char>('a' + sym));
-    }
-    b = a + b;
-    a = b - a;
-  }
-  return input;
-}
-
-// Random structured input: literal bursts and copies of earlier spans.
-std::string StructuredInput(Prng& rng, size_t target) {
-  std::string input;
-  while (input.size() < target) {
-    if (rng.Chance(0.5) && !input.empty()) {
-      size_t from = rng.Below(input.size());
-      size_t n = 1 + rng.Below(std::min<size_t>(input.size() - from, 60));
-      input += input.substr(from, n);
-    } else {
-      for (uint64_t n = 1 + rng.Below(20); n > 0; --n) {
-        input.push_back(static_cast<char>(rng.Next() & 0xff));
-      }
-    }
-  }
-  return input;
-}
-
-// The inputs whose compressed bytes GoldenDigests pins.
-std::vector<std::pair<std::string, std::string>> GoldenInputs() {
-  std::vector<std::pair<std::string, std::string>> inputs;
-  inputs.emplace_back("empty", "");
-  inputs.emplace_back("one byte", "a");
-  inputs.emplace_back("hello", "hello");
-  std::string all;
-  for (int i = 0; i < 256; ++i) {
-    all.push_back(static_cast<char>(i));
-  }
-  inputs.emplace_back("all bytes x3", all + all + all);
-  std::string period;
-  for (size_t i = 0; i < 5000; ++i) {
-    period.push_back(static_cast<char>('a' + (i % 3)));
-  }
-  inputs.emplace_back("period 3", period);
-  inputs.emplace_back("one byte x64k", std::string(65536, 'x'));
-  Prng prose_rng(5);
-  inputs.emplace_back("prose 100k", GenerateProse(prose_rng, 100000));
-  Prng rng(99);
-  for (size_t target : {100u, 1000u, 4000u, 20000u}) {
-    inputs.emplace_back("structured " + std::to_string(target), StructuredInput(rng, target));
-  }
-  // Repeats up to the 64 KiB window edge: the widest distance buckets.
-  std::string far;
-  for (int i = 0; i < 60000; ++i) {
-    far.push_back(static_cast<char>(rng.Next() & 0xff));
-  }
-  far += far.substr(0, 5000);
-  inputs.emplace_back("far matches", far);
-  inputs.emplace_back("skewed", SkewedInput());
-  return inputs;
 }
 
 // Code lengths of a dynamic stream's lit/len table: (4-bit length, 8-bit
@@ -293,8 +227,10 @@ TEST(Lzhuf, FuzzRoundTripsRandomStructuredInputs) {
   }
 }
 
-// The rewritten bit writer must not change a byte: digests of both
-// variants' output, taken from the bit-at-a-time writer they replaced.
+// The encoder's bytes, pinned: digests of both variants' output. A change
+// to the bit writer or the code builders must leave them alone. A new
+// match finder in lz4::Parse re-pins them, since a different parse is a
+// different (equally valid) stream.
 TEST(Lzhuf, GoldenDigests) {
   const std::vector<std::pair<std::string, std::pair<uint64_t, uint64_t>>> kGolden = {
       {"empty", {0xa8b2f04b88ba916full, 0xaf639e4c86018332ull}},
@@ -303,13 +239,13 @@ TEST(Lzhuf, GoldenDigests) {
       {"all bytes x3", {0x9df290945ce28299ull, 0xa3f4527b523fcd6cull}},
       {"period 3", {0x629841c8be02532bull, 0xe926f9c75ec40786ull}},
       {"one byte x64k", {0x7c8c40cc2eb6e25dull, 0xe81337f9e55e59b9ull}},
-      {"prose 100k", {0xf3d2e8d4859202b5ull, 0x9390d27a0d5a7612ull}},
+      {"prose 100k", {0x2f63eaf0e84845dfull, 0x083e54f143fcaceeull}},
       {"structured 100", {0xcfd456cb26edcf6eull, 0x734b4ad36c10d1c5ull}},
       {"structured 1000", {0x9cbfc2781638586dull, 0xd730caf0fbb69042ull}},
       {"structured 4000", {0x2ccdeddd271c4dc7ull, 0x421b2a5af8387897ull}},
-      {"structured 20000", {0x7da2f8430aff474aull, 0xbd04cd9bc370d088ull}},
+      {"structured 20000", {0xb1ca992e861a19ebull, 0x0e79fd53d5375375ull}},
       {"far matches", {0x5596b0e14fe8885aull, 0x563eba1851e79e29ull}},
-      {"skewed", {0x3822464904bfb72eull, 0x083a5654c23c038full}},
+      {"skewed", {0x96db7bd6e6fa926aull, 0x73bbf3ad9bff71f4ull}},
   };
   std::vector<std::pair<std::string, std::string>> inputs = GoldenInputs();
   ASSERT_EQ(inputs.size(), kGolden.size());
@@ -319,6 +255,62 @@ TEST(Lzhuf, GoldenDigests) {
     EXPECT_EQ(Fnv64(lzhuf::Compress(input)), kGolden[i].second.first) << name;
     EXPECT_EQ(Fnv64(lzhuf::CompressStatic(input)), kGolden[i].second.second) << name;
     ExpectRoundTrips(input);
+  }
+}
+
+// The codec race over one parse (the columnar encoder's column sizes run
+// 16 bytes up, and both codes race on 64..511) must write exactly what
+// racing the two public coders writes: the static stream unless the
+// dynamic one is strictly shorter.
+TEST(Lzhuf, CompressSmallestMatchesRacingBothCoders) {
+  Prng rng(616);
+  for (size_t size = 16; size <= 600; ++size) {
+    std::string input;
+    switch (size % 3) {
+      case 0:
+        input = StructuredInput(rng, size);
+        break;
+      case 1:
+        input = GenerateProse(rng, size);
+        break;
+      default:  // Small values, like a column of varints or deltas.
+        while (input.size() < size) {
+          input.push_back(static_cast<char>(rng.Below(rng.Chance(0.8) ? 4 : 200)));
+        }
+        break;
+    }
+    input.resize(size);
+    const std::string stat = lzhuf::CompressStatic(input);
+    const std::string dyn = lzhuf::Compress(input);
+    for (auto [try_static, try_dynamic] : {std::pair{true, false}, std::pair{false, true},
+                                           std::pair{size < 512, size >= 64}}) {
+      if (!try_static && !try_dynamic) {
+        continue;
+      }
+      const bool dynamic_wins = !try_static || (try_dynamic && dyn.size() < stat.size());
+      const lzhuf::Smallest got = lzhuf::CompressSmallest(input, try_static, try_dynamic);
+      ASSERT_EQ(got.code, dynamic_wins ? lzhuf::Code::kDynamic : lzhuf::Code::kStatic)
+          << "size " << size;
+      ASSERT_EQ(got.stream, dynamic_wins ? dyn : stat) << "size " << size;
+    }
+    ASSERT_EQ(lzhuf::Compress(input, lz4::Parse(input)), dyn) << "size " << size;
+  }
+}
+
+// The library's match finder probes far less than the reference parser
+// (tests/testing/lz_reference.h); on these inputs its streams stay within
+// half a percent of coding the reference's parse.
+TEST(Lzhuf, ParseStaysNearTheReferenceParse) {
+  for (const auto& [name, input] : GoldenInputs()) {
+    if (name != "prose 100k" && name != "structured 20000" && name != "far matches") {
+      continue;
+    }
+    const std::vector<lz4::LzStep> reference = lz_reference::Parse(input);
+    ASSERT_EQ(lz_reference::CheckParse(input, reference), "") << name;
+    const size_t oracle = lzhuf::Compress(input, reference).size();
+    const size_t got = lzhuf::Compress(input).size();
+    EXPECT_LE(static_cast<double>(got), 1.005 * static_cast<double>(oracle))
+        << name << ": " << got << " vs " << oracle << " bytes";
   }
 }
 
