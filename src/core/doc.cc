@@ -575,8 +575,10 @@ void Doc::HydrateOps(Lv lowest) {
   }
   std::string err;
   for (size_t i = first; i < cold_ops_.size(); ++i) {
-    // The payload bytes were checksum-verified at load time, so a decode
-    // failure here means memory corruption, not bad input.
+    // The payload bytes were checksum-verified at load time, and so were
+    // their directory entries in files with the XXH32 flag. A decode
+    // failure here means a faulty writer, memory corruption, or a raw size
+    // that changed at rest in an older file without a directory checksum.
     EGW_CHECK(DecodeSegmentOps(log, trace_.graph, cold_ops_[i], &err));
     hydrated_bytes_ += cold_ops_[i].stored_bytes();
     ++hydrated_segments_;

@@ -9,6 +9,7 @@
 #include "rope/utf8.h"
 #include "util/assert.h"
 #include "util/varint.h"
+#include "util/xxh32.h"
 
 namespace egwalker {
 namespace {
@@ -34,6 +35,20 @@ constexpr uint8_t kFlagSessionAnchor = 1 << 3;
 // Segments only: the header carries a serialized walker session
 // (Walker::SaveSession bytes, length-prefixed, opaque here).
 constexpr uint8_t kFlagSessionState = 1 << 4;
+// v2 only: column checksums are XXH32 (seed 0) rather than FNV-1a-32, and a
+// checksum of the header and directory follows the directory. Every writer
+// sets it; files written without it verify as they always did.
+constexpr uint8_t kFlagXxh32 = 1 << 5;
+
+// The header flag bits a container may carry. Any other bit fails the
+// decode ("unknown flags"): a reader must not skip a rule it does not know.
+uint8_t KnownFlags(bool segment, bool v2) {
+  uint8_t known = kFlagContentComplete | kFlagCachedDoc | (v2 ? kFlagXxh32 : kFlagCompressed);
+  if (segment) {
+    known |= kFlagSessionAnchor | kFlagSessionState;
+  }
+  return known;
+}
 
 // v2 column ids (directory entries; docs/EGWS.md).
 constexpr uint8_t kColOps = 0;
@@ -68,9 +83,8 @@ constexpr size_t kCompressMinLen = 64;
 constexpr size_t kStaticMinLen = 16;
 constexpr size_t kStaticTryMax = 512;
 
-// FNV-1a over the stored bytes of each v2 column. Cheap enough to verify
-// on every load — which is what lets lazy decode skip *parsing* a column
-// while still detecting its corruption up front.
+// The checksum of v2 columns written before the XXH32 flag. Read-only: one
+// multiply per byte made verifying the cached text a fifth of an open.
 uint32_t Fnv1a(std::string_view bytes) {
   uint32_t h = 2166136261u;
   for (unsigned char c : bytes) {
@@ -80,20 +94,30 @@ uint32_t Fnv1a(std::string_view bytes) {
   return h;
 }
 
+// The checksum of a stored v2 column under the header's hash rule. Cheap
+// enough to verify on every load, which is what lets lazy decode skip
+// *parsing* a column while still detecting its corruption up front.
+uint32_t ColumnChecksum(bool xxh32, std::string_view stored) {
+  return xxh32 ? Xxh32(stored) : Fnv1a(stored);
+}
+
 // --- v2 column block ---------------------------------------------------------
 //
 // directory := count, then per column
 //   { id u8, codec u8, raw_size varint, stored_size varint,
-//     offset varint, fnv1a(stored bytes) varint }
-// followed by the stored payloads concatenated in directory order. The
-// offset is redundant with the running stored_size sum and is validated
-// against it — an extra tripwire against desynchronised directories.
+//     offset varint, checksum(stored bytes) varint }
+// then, under kFlagXxh32, dir_checksum: XXH32 of every container byte before
+// it (header and directory) as a little-endian u32, followed by the stored
+// payloads concatenated in directory order. The offset is redundant with the
+// running stored_size sum and is validated against it — an extra tripwire
+// against desynchronised directories.
 
 struct ColumnSpec {
   uint8_t id;
   const std::string* data;
 };
 
+// `out` holds the container so far: its header, with kFlagXxh32 set.
 void AppendColumnBlock(std::string& out, const std::vector<ColumnSpec>& cols, bool compress) {
   std::vector<std::string> stored(cols.size());
   std::vector<uint8_t> codec(cols.size(), kCodecRaw);
@@ -123,8 +147,12 @@ void AppendColumnBlock(std::string& out, const std::vector<ColumnSpec>& cols, bo
     AppendVarint(out, cols[i].data->size());
     AppendVarint(out, stored[i].size());
     AppendVarint(out, offset);
-    AppendVarint(out, Fnv1a(stored[i]));
+    AppendVarint(out, Xxh32(stored[i]));
     offset += stored[i].size();
+  }
+  const uint32_t dir_checksum = Xxh32(out);
+  for (int shift = 0; shift < 32; shift += 8) {
+    out.push_back(static_cast<char>(dir_checksum >> shift));
   }
   for (const std::string& s : stored) {
     out += s;
@@ -156,10 +184,11 @@ uint64_t MaxRawSize(uint8_t codec, uint64_t stored_size) {
   }
 }
 
-// Parses and validates a directory (ids, codecs, size caps, offsets),
-// leaving the reader positioned at the first payload byte. Payloads are
-// not consumed. Returns nullptr on success.
-const char* ReadColumnDirectory(ByteReader& reader, std::vector<ColumnMeta>& out) {
+// Parses and validates a directory (ids, codecs, size caps, offsets, and
+// under `xxh32` the directory checksum), leaving the reader positioned at
+// the first payload byte. The reader must have started at the container's
+// first byte. Payloads are not consumed. Returns nullptr on success.
+const char* ReadColumnDirectory(ByteReader& reader, bool xxh32, std::vector<ColumnMeta>& out) {
   auto count = reader.ReadVarint();
   if (!count || *count > static_cast<uint64_t>(kMaxColId) + 1) {
     return "bad column count";
@@ -196,6 +225,20 @@ const char* ReadColumnDirectory(ByteReader& reader, std::vector<ColumnMeta>& out
     out[i] = ColumnMeta{*id,    static_cast<uint8_t>(*codec),          *raw_size,
                         *stored_size, *offset, static_cast<uint32_t>(*checksum)};
   }
+  if (xxh32) {
+    const uint32_t expected = Xxh32(reader.consumed());
+    std::string stored;
+    if (!reader.ReadBytes(4, stored)) {
+      return "truncated column directory";
+    }
+    uint32_t dir_checksum = 0;
+    for (int i = 3; i >= 0; --i) {
+      dir_checksum = (dir_checksum << 8) | static_cast<uint8_t>(stored[static_cast<size_t>(i)]);
+    }
+    if (dir_checksum != expected) {
+      return "directory checksum mismatch";
+    }
+  }
   return nullptr;
 }
 
@@ -208,9 +251,9 @@ struct StoredColumn {
 
 // Directory + payloads, with every checksum verified — corruption in ANY
 // column (even one the caller will skip) fails the decode here.
-const char* ReadColumnBlock(ByteReader& reader, std::vector<StoredColumn>& out) {
+const char* ReadColumnBlock(ByteReader& reader, bool xxh32, std::vector<StoredColumn>& out) {
   std::vector<ColumnMeta> metas;
-  if (const char* err = ReadColumnDirectory(reader, metas)) {
+  if (const char* err = ReadColumnDirectory(reader, xxh32, metas)) {
     return err;
   }
   out.clear();
@@ -222,7 +265,7 @@ const char* ReadColumnBlock(ByteReader& reader, std::vector<StoredColumn>& out) 
     if (!reader.ReadBytes(metas[i].stored_size, out[i].stored)) {
       return "truncated column payload";
     }
-    if (Fnv1a(out[i].stored) != metas[i].checksum) {
+    if (ColumnChecksum(xxh32, out[i].stored) != metas[i].checksum) {
       return "column checksum mismatch";
     }
   }
@@ -680,7 +723,7 @@ std::string EncodeTrace(const Trace& trace, const SaveOptions& options,
   std::string out;
   out.append(kMagic, sizeof(kMagic));
   out.push_back(static_cast<char>(kFormatV2));
-  uint8_t flags = 0;
+  uint8_t flags = kFlagXxh32;
   if (options.include_deleted_content) {
     flags |= kFlagContentComplete;
   }
@@ -794,6 +837,9 @@ std::optional<DecodeResult> DecodeTrace(std::string_view bytes, std::string* err
   if (!flags) {
     return fail("truncated flags");
   }
+  if ((*flags & ~KnownFlags(/*segment=*/false, v2)) != 0) {
+    return fail("unknown flags");
+  }
   bool content_complete = (*flags & kFlagContentComplete) != 0;
   bool compressed = (*flags & kFlagCompressed) != 0;
   bool cached_doc = (*flags & kFlagCachedDoc) != 0;
@@ -823,7 +869,7 @@ std::optional<DecodeResult> DecodeTrace(std::string_view bytes, std::string* err
   std::string ops_col, parents_col, agents_col, survival_col, content;
   if (v2) {
     std::vector<StoredColumn> cols;
-    if (const char* err = ReadColumnBlock(reader, cols)) {
+    if (const char* err = ReadColumnBlock(reader, (*flags & kFlagXxh32) != 0, cols)) {
       return fail(err);
     }
     if (!reader.empty()) {
@@ -936,7 +982,7 @@ std::string EncodeSegment(const Trace& trace, Lv base_lv, const SaveOptions& opt
   std::string out;
   out.append(kSegmentMagic, sizeof(kSegmentMagic));
   out.push_back(static_cast<char>(kFormatV2));
-  uint8_t flags = kFlagContentComplete;
+  uint8_t flags = kFlagContentComplete | kFlagXxh32;
   if (options.cache_final_doc) {
     flags |= kFlagCachedDoc;
   }
@@ -1021,7 +1067,8 @@ std::optional<SegmentInfo> PeekSegment(std::string_view bytes) {
   }
   auto version = reader.ReadByte();
   auto flags = reader.ReadByte();
-  if (!version || (*version != kFormatV1 && *version != kFormatV2) || !flags) {
+  if (!version || (*version != kFormatV1 && *version != kFormatV2) || !flags ||
+      (*flags & ~KnownFlags(/*segment=*/true, *version == kFormatV2)) != 0) {
     return std::nullopt;
   }
   auto base_lv = reader.ReadVarint();
@@ -1075,7 +1122,7 @@ std::optional<SegmentInfo> PeekSegment(std::string_view bytes) {
     info.agents.push_back({std::move(name), *first_seq, *seq_count});
   }
   std::vector<ColumnMeta> metas;
-  if (ReadColumnDirectory(reader, metas) != nullptr) {
+  if (ReadColumnDirectory(reader, (*flags & kFlagXxh32) != 0, metas) != nullptr) {
     return std::nullopt;
   }
   uint64_t payload = 0;
@@ -1121,6 +1168,9 @@ bool DecodeSegmentInto(Trace& trace, std::string_view bytes,
   auto flags = reader.ReadByte();
   if (!flags) {
     return fail("truncated segment flags");
+  }
+  if ((*flags & ~KnownFlags(/*segment=*/true, v2)) != 0) {
+    return fail("unknown flags");
   }
   bool compressed = (*flags & kFlagCompressed) != 0;
   bool has_cached = (*flags & kFlagCachedDoc) != 0;
@@ -1191,7 +1241,7 @@ bool DecodeSegmentInto(Trace& trace, std::string_view bytes,
 
   if (v2) {
     std::vector<StoredColumn> cols;
-    if (const char* err = ReadColumnBlock(reader, cols)) {
+    if (const char* err = ReadColumnBlock(reader, (*flags & kFlagXxh32) != 0, cols)) {
       return fail(err);
     }
     if (!reader.empty()) {
@@ -1371,9 +1421,11 @@ std::optional<std::string> ReadCachedDoc(std::string_view bytes) {
   auto version = reader.ReadByte();
   auto flags = reader.ReadByte();
   if (!version || (*version != kFormatV1 && *version != kFormatV2) || !flags ||
+      (*flags & ~KnownFlags(/*segment=*/false, *version == kFormatV2)) != 0 ||
       (*flags & kFlagCachedDoc) == 0) {
     return std::nullopt;
   }
+  const bool xxh32 = (*flags & kFlagXxh32) != 0;
   if (!reader.ReadVarint()) {  // Event count.
     return std::nullopt;
   }
@@ -1392,7 +1444,7 @@ std::optional<std::string> ReadCachedDoc(std::string_view bytes) {
     // payloads are skipped unread (this is the lazy load path, so only the
     // target column's checksum is verified).
     std::vector<ColumnMeta> metas;
-    if (ReadColumnDirectory(reader, metas) != nullptr) {
+    if (ReadColumnDirectory(reader, xxh32, metas) != nullptr) {
       return std::nullopt;
     }
     for (const ColumnMeta& m : metas) {
@@ -1401,7 +1453,7 @@ std::optional<std::string> ReadCachedDoc(std::string_view bytes) {
       }
       std::string stored;
       if (!reader.Skip(m.offset) || !reader.ReadBytes(m.stored_size, stored) ||
-          Fnv1a(stored) != m.checksum) {
+          ColumnChecksum(xxh32, stored) != m.checksum) {
         return std::nullopt;
       }
       if (m.codec == kCodecRaw) {

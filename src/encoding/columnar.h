@@ -29,9 +29,13 @@
 //      files under tests/fixtures/v1 keep the decoders honest.
 //   v2 (indexed): after the header, a column DIRECTORY records, per column,
 //      {column id, codec id (raw | LZ4 | LZ+Huffman | static LZ+Huffman),
-//      raw size, stored size, byte offset, FNV-1a checksum of the stored
-//      bytes}, and payloads follow. The encoders pick raw or one of the two
-//      LZ+Huffman codes per column; LZ4 columns are only ever read. Segment
+//      raw size, stored size, byte offset, checksum of the stored bytes},
+//      then a checksum of the header and directory, and payloads follow.
+//      Header flag bit 5 selects XXH32 checksums; files without it carry
+//      FNV-1a column checksums and no directory checksum, and still
+//      verify. Unknown flag bits are rejected. The encoders pick raw or
+//      one of the two LZ+Huffman codes per column; LZ4 columns are only
+//      ever read. Segment
 //      headers additionally carry per-agent seq extents,
 //      the ops column splits its header/delta streams and delta-codes
 //      positions per agent, and the agents column delta-codes seqs against
@@ -226,9 +230,14 @@ std::optional<SegmentInfo> PeekSegment(std::string_view bytes);
 // (a fresh merge below the chain end, MakePatch for a stale reader, a full
 // Save/compaction). DecodeSegmentInto can therefore SKIP decoding those
 // two columns and instead hand back their stored (possibly compressed)
-// bytes for on-demand hydration. Checksums of skipped columns are still
-// verified at load, so corruption is detected up front, fail-closed — a
-// post-load hydration failure is a program bug, not an input error.
+// bytes for on-demand hydration. Checksums of skipped columns, and of the
+// directory that records their codecs and raw sizes, are still verified at
+// load, so bytes that changed at rest are detected up front, fail-closed.
+// A post-load hydration failure means the writer recorded inconsistent
+// bytes under matching checksums (or memory was corrupted), not that
+// storage changed them. Files written before the directory checksum (flag
+// bit 5 clear, docs/EGWS.md) leave a raw size that changed at rest to be
+// found at hydration.
 
 // The retained ops/content payloads of one lazily-decoded segment.
 struct SegmentOpsPayload {
@@ -257,8 +266,8 @@ struct SegmentDecodeOptions {
 // Hydrates one lazily-skipped payload: decompresses (if needed) and parses
 // the ops/content columns, appending onto `ops`, whose size() must equal
 // payload.base_lv. Returns false (and sets *error) on malformed payload —
-// unreachable for payloads that passed load-time checksums unless the
-// process memory was corrupted.
+// unreachable for payloads whose directory and columns passed load-time
+// checksums, unless their writer or the process memory was faulty.
 bool DecodeSegmentOps(OpLog& ops, const Graph& graph, const SegmentOpsPayload& payload,
                       std::string* error = nullptr);
 

@@ -1,5 +1,6 @@
 #include "rope/rope.h"
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -149,7 +150,50 @@ Rope::Rope() {
   internal_pool_.set_max_cached(kMaxCachedInternals);
 }
 
-Rope::Rope(std::string_view utf8) : Rope() { InsertAt(0, utf8); }
+Rope::Rope(std::string_view utf8) : Rope() {
+  EGW_DCHECK(Utf8IsValid(utf8));
+  if (utf8.empty()) {
+    return;
+  }
+  // Bottom-up: full leaves in text order, then whole levels of internals
+  // over them, each taking the next kMaxChildren nodes of the level below.
+  std::vector<Node*> level;
+  level.reserve(utf8.size() / (kLeafCapacity - 3) + 1);
+  size_t chars = 0;
+  for (size_t offset = 0; offset < utf8.size();) {
+    size_t take = std::min(kLeafCapacity, utf8.size() - offset);
+    // Back up to a scalar-value boundary; a scalar is at most 4 bytes.
+    for (int back = 0; back < 3 && offset + take < utf8.size() &&
+                       !IsUtf8CharStart(static_cast<uint8_t>(utf8[offset + take]));
+         ++back) {
+      --take;
+    }
+    Leaf* leaf = NewLeaf();
+    std::memcpy(leaf->data, utf8.data() + offset, take);
+    leaf->nbytes = static_cast<uint32_t>(take);
+    leaf->nchars = static_cast<uint32_t>(Utf8CountChars(leaf->view()));
+    chars += leaf->nchars;
+    level.push_back(leaf);
+    offset += take;
+  }
+  while (level.size() > 1) {
+    size_t parents = 0;
+    for (size_t first = 0; first < level.size(); first += kMaxChildren) {
+      Internal* in = NewInternal();
+      in->count = static_cast<int>(std::min<size_t>(kMaxChildren, level.size() - first));
+      for (int i = 0; i < in->count; ++i) {
+        Node* child = level[first + static_cast<size_t>(i)];
+        Metrics m = MetricsOf(child);
+        in->children[i] = {child, m.bytes, m.chars};
+      }
+      level[parents++] = in;
+    }
+    level.resize(parents);
+  }
+  root_ = level[0];
+  root_bytes_ = utf8.size();
+  root_chars_ = chars;
+}
 
 Rope::~Rope() { DeleteNode(root_); }
 

@@ -6,6 +6,17 @@
 // small UTF-8 chunks, internal nodes hold per-child (byte, char) totals, so
 // insert/delete/read at an arbitrary *character* index costs O(log n).
 //
+// The tree grows two ways. Edits descend to a leaf (of at most 256 bytes)
+// and split it at its byte midpoint when it overflows, so a tree built by
+// edits holds leaves between half full and full. Rope(text), the cached-doc
+// open path, builds bottom-up in one pass instead: it cuts the text into
+// full leaves, each cut backed up to a scalar boundary (so a leaf holds
+// 253-256 bytes, the last one the rest), then stacks levels of internal
+// nodes with 16 children each (the last node of a level takes the rest).
+// That costs one copy of the text plus a count per leaf, with no descent,
+// split or cache update per chunk, and half the leaves of an edit-built
+// tree. The first edit into a full leaf splits it as usual.
+//
 // Edits are heavily clustered in practice (typing runs, backspace runs), so
 // the rope keeps two last-edit cache entries — one for the last insert
 // point, one for the last delete point: the leaf last touched, its absolute
@@ -46,6 +57,7 @@ namespace egwalker {
 class Rope {
  public:
   Rope();
+  // Builds the tree bottom-up from full leaves (see above).
   explicit Rope(std::string_view utf8);
   ~Rope();
 

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace egwalker {
@@ -49,6 +50,10 @@ class ByteReader {
   size_t remaining() const { return size_ - pos_; }
   bool empty() const { return pos_ >= size_; }
   size_t position() const { return pos_; }
+  // The bytes consumed so far, from the start of the buffer.
+  std::string_view consumed() const {
+    return std::string_view(reinterpret_cast<const char*>(data_), pos_);
+  }
 
   std::optional<uint64_t> ReadVarint();
   std::optional<int64_t> ReadVarintSigned();

@@ -654,6 +654,273 @@ TEST(Lz4Columns, SegmentsDecodeEagerlyAndLazily) {
   EXPECT_EQ(testing::DumpTrace(lazy->trace()), dump);
 }
 
+// --- Checksums and header flags ---------------------------------------------
+
+// Header byte 5 holds the flags of both containers; flips one of them.
+std::string FlipFlagBit(std::string bytes, int bit) {
+  bytes[5] = static_cast<char>(bytes[5] ^ (1 << bit));
+  return bytes;
+}
+
+// A segment the tests below corrupt: two authors, a cached document and a
+// session checkpoint, so the header carries every optional field.
+std::string CheckpointedSegment() {
+  Doc alice("alice");
+  Doc bob("bob");
+  for (int i = 0; i < 20; ++i) {
+    alice.Insert(alice.size(), "checksums cover the header and the directory. ");
+  }
+  bob.MergeFrom(alice);
+  bob.Insert(3, "bob's ü€ ");
+  alice.MergeFrom(bob);
+  SaveOptions opts;
+  opts.cache_final_doc = true;
+  opts.checkpoint_session_state = true;
+  return alice.SaveSegment(0, opts);
+}
+
+TEST(Checksums, EncodersSetTheXxh32Flag) {
+  const std::string seg = CheckpointedSegment();
+  EXPECT_NE(seg[5] & testing::kXxh32Flag, 0);
+  auto info = PeekSegment(seg);
+  ASSERT_TRUE(info.has_value());
+  EXPECT_TRUE(info->has_cached_doc);
+  EXPECT_NE(info->anchor.lv, kInvalidLv);
+  EXPECT_TRUE(info->has_session_state);
+  EXPECT_EQ(info->agents.size(), 2u);
+  auto t = DecodeTrace(testing::ReadFixture("v1/trace.egwk"));
+  ASSERT_TRUE(t.has_value());
+  EXPECT_NE(EncodeTrace(t->trace, SaveOptions{})[5] & testing::kXxh32Flag, 0);
+}
+
+TEST(Checksums, UnknownTraceFlagsFailClosed) {
+  auto t = DecodeTrace(testing::ReadFixture("v1/trace.egwk"));
+  ASSERT_TRUE(t.has_value());
+  SaveOptions opts;
+  opts.cache_final_doc = true;
+  const std::string bytes = EncodeTrace(t->trace, opts, Replay(t->trace));
+  ASSERT_TRUE(DecodeTrace(bytes).has_value());
+  // Bits 3 and 4 belong to segments, bit 1 to v1 files, 6 and 7 to nobody.
+  for (int bit : {1, 3, 4, 6, 7}) {
+    const std::string flagged = FlipFlagBit(bytes, bit);
+    std::string error;
+    EXPECT_FALSE(DecodeTrace(flagged, &error).has_value()) << bit;
+    EXPECT_EQ(error, "unknown flags") << bit;
+    EXPECT_FALSE(ReadCachedDoc(flagged).has_value()) << bit;
+    EXPECT_FALSE(Doc::Load(flagged, "reader").has_value()) << bit;
+  }
+  // The XXH32 flag is a v2 rule: a v1 file carrying it is refused too.
+  std::string error;
+  EXPECT_FALSE(DecodeTrace(FlipFlagBit(testing::ReadFixture("v1/trace.egwk"), 5), &error));
+  EXPECT_EQ(error, "unknown flags");
+}
+
+TEST(Checksums, UnknownSegmentFlagsFailClosed) {
+  const std::string seg = CheckpointedSegment();
+  ASSERT_TRUE(Doc::LoadChain({seg}, "reader").has_value());
+  // Bit 1 belongs to v1 segments, 6 and 7 to nobody.
+  for (int bit : {1, 6, 7}) {
+    const std::string flagged = FlipFlagBit(seg, bit);
+    Trace t;
+    std::optional<std::string> cached;
+    std::string error;
+    EXPECT_FALSE(DecodeSegmentInto(t, flagged, &cached, &error)) << bit;
+    EXPECT_EQ(error, "unknown flags") << bit;
+    EXPECT_FALSE(PeekSegment(flagged).has_value()) << bit;
+    EXPECT_FALSE(Doc::LoadChain({flagged}, "reader").has_value()) << bit;
+  }
+  Trace t;
+  std::optional<std::string> cached;
+  std::string error;
+  EXPECT_FALSE(DecodeSegmentInto(t, FlipFlagBit(testing::ReadFixture("v1/chain-0.egws"), 5),
+                                 &cached, &error));
+  EXPECT_EQ(error, "unknown flags");
+}
+
+// A raw_size one too large on a compressed column the load skips lazily
+// (ops, content) passes every size check. Before the directory checksum
+// such a segment loaded, and the first Save() aborted when hydration could
+// not decode the column. Now the load refuses it.
+TEST(Checksums, RawSizeOffByOneFailsTheLoad) {
+  const std::string seg = CheckpointedSegment();
+  auto info = PeekSegment(seg);
+  ASSERT_TRUE(info.has_value());
+  std::vector<uint8_t> lazy_packed;
+  for (const SegmentColumn& col : info->columns) {
+    if ((col.id == testing::kOpsColumn || col.id == testing::kContentColumn) && col.codec != 0) {
+      lazy_packed.push_back(col.id);
+    }
+  }
+  ASSERT_FALSE(lazy_packed.empty());
+  for (uint8_t id : lazy_packed) {
+    const std::string rotted = testing::RewriteColumns(
+        seg,
+        [&](testing::StoredColumnEntry& c) {
+          if (c.id == id) {
+            c.raw_size += 1;
+          }
+        },
+        testing::DirectoryChecksum::kKeep);
+    EXPECT_FALSE(PeekSegment(rotted).has_value()) << int{id};
+    Trace t;
+    std::optional<std::string> cached;
+    std::string error;
+    EXPECT_FALSE(DecodeSegmentInto(t, rotted, &cached, &error)) << int{id};
+    EXPECT_EQ(error, "directory checksum mismatch") << int{id};
+    error.clear();
+    EXPECT_FALSE(Doc::LoadChain({seg, rotted}, "reader", &error).has_value()) << int{id};
+    EXPECT_NE(error.find("segment 1/2"), std::string::npos) << error;
+    error.clear();
+    EXPECT_FALSE(Doc::LoadChain({rotted}, "reader", &error).has_value()) << int{id};
+    EXPECT_FALSE(error.empty()) << int{id};
+  }
+}
+
+// Every byte of an XXH32-flagged container is covered: the header and the
+// directory by the directory checksum, each payload by its column's.
+TEST(Checksums, EverySingleBitFlipFailsTheDecode) {
+  const std::string seg = CheckpointedSegment();
+  auto t = DecodeTrace(testing::ReadFixture("v1/trace-cached.egwk"));
+  ASSERT_TRUE(t.has_value());
+  SaveOptions opts;
+  opts.cache_final_doc = true;
+  const std::string file = EncodeTrace(t->trace, opts, *t->cached_doc);
+  for (size_t i = 0; i < seg.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = seg;
+      flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+      Trace scratch;
+      std::optional<std::string> cached;
+      ASSERT_FALSE(DecodeSegmentInto(scratch, flipped, &cached)) << "byte " << i << " bit " << bit;
+    }
+  }
+  for (size_t i = 0; i < file.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = file;
+      flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+      ASSERT_FALSE(DecodeTrace(flipped).has_value()) << "byte " << i << " bit " << bit;
+    }
+  }
+}
+
+// --- Golden v2 files written before the XXH32 flag ---------------------------
+
+std::vector<std::string> FnvFixtureChain() {
+  return {testing::ReadFixture("v2-fnv/chain-0.egws"), testing::ReadFixture("v2-fnv/chain-1.egws"),
+          testing::ReadFixture("v2-fnv/chain-2.egws")};
+}
+
+TEST(V2FnvFixtures, TraceFileDecodesToItsExpectedTrace) {
+  const std::string bytes = testing::ReadFixture("v2-fnv/trace-cached.egwk");
+  const std::string dump = testing::ReadFixture("v2-fnv/trace.dump");
+  const std::string text = testing::ReadFixture("v2-fnv/trace.txt");
+  ASSERT_EQ(bytes[4], 2);                         // Container version.
+  ASSERT_EQ(bytes[5] & testing::kXxh32Flag, 0);  // FNV-1a checksums.
+  std::string error;
+  auto decoded = DecodeTrace(bytes, &error);
+  ASSERT_TRUE(decoded.has_value()) << error;
+  EXPECT_EQ(testing::DumpTrace(decoded->trace), dump);
+  EXPECT_EQ(Replay(decoded->trace), text);
+  EXPECT_EQ(decoded->cached_doc, text);
+  EXPECT_EQ(ReadCachedDoc(bytes), text);
+  auto doc = Doc::Load(bytes, "reader");
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(doc->Text(), text);
+  EXPECT_EQ(doc->replayed_events(), 0u);
+}
+
+TEST(V2FnvFixtures, ChainLoadsLazilyThenHydrates) {
+  const std::vector<std::string> chain = FnvFixtureChain();
+  const std::string dump = testing::ReadFixture("v2-fnv/chain.dump");
+  const std::string text = testing::ReadFixture("v2-fnv/chain.txt");
+  int compressed = 0;
+  for (const std::string& seg : chain) {
+    ASSERT_EQ(seg[5] & testing::kXxh32Flag, 0);
+    auto info = PeekSegment(seg);
+    ASSERT_TRUE(info.has_value());
+    EXPECT_EQ(info->format_version, 2);
+    for (const SegmentColumn& col : info->columns) {
+      compressed += col.codec != 0 ? 1 : 0;
+    }
+  }
+  EXPECT_GT(compressed, 0);
+
+  Trace t;
+  std::optional<std::string> cached;
+  SegmentAnchor anchor;
+  std::string error;
+  for (const std::string& seg : chain) {
+    ASSERT_TRUE(DecodeSegmentInto(t, seg, &cached, &error, &anchor)) << error;
+  }
+  EXPECT_EQ(testing::DumpTrace(t), dump);
+  EXPECT_EQ(cached, text);
+  EXPECT_EQ(anchor.lv, 209u);
+  EXPECT_EQ(anchor.doc_len, 210u);
+  EXPECT_FALSE(anchor.session_state.empty());
+
+  auto lazy = Doc::LoadChain(chain, "!server", &error);
+  ASSERT_TRUE(lazy.has_value()) << error;
+  EXPECT_EQ(lazy->lazy_segments_skipped(), chain.size());
+  EXPECT_EQ(lazy->replayed_events(), 0u);
+  EXPECT_EQ(lazy->Text(), text);
+  (void)lazy->Save();
+  EXPECT_EQ(lazy->hydrated_segments(), chain.size());
+  EXPECT_EQ(testing::DumpTrace(lazy->trace()), dump);
+}
+
+// RewriteColumns writes the checksums each header's flag selects: left
+// unedited, both kinds of file come back byte for byte.
+TEST(V2FnvFixtures, RewriteColumnsKeepsEitherChecksumRule) {
+  auto keep = [](testing::StoredColumnEntry&) {};
+  for (const std::string& seg : FnvFixtureChain()) {
+    EXPECT_EQ(testing::RewriteColumns(seg, keep), seg);
+  }
+  const std::string file = testing::ReadFixture("v2-fnv/trace-cached.egwk");
+  EXPECT_EQ(testing::RewriteColumns(file, keep), file);
+  const std::string seg = CheckpointedSegment();
+  EXPECT_EQ(testing::RewriteColumns(seg, keep), seg);
+  EXPECT_EQ(testing::RewriteColumns(seg, keep, testing::DirectoryChecksum::kKeep), seg);
+}
+
+TEST(V2FnvFixtures, AFlippedPayloadByteFailsItsColumnChecksum) {
+  // The last byte of a file is in its last column's payload.
+  std::string file = testing::ReadFixture("v2-fnv/trace-cached.egwk");
+  file.back() = static_cast<char>(file.back() ^ 0x10);
+  std::string error;
+  EXPECT_FALSE(DecodeTrace(file, &error).has_value());
+  EXPECT_EQ(error, "column checksum mismatch");
+  EXPECT_FALSE(ReadCachedDoc(file).has_value());
+
+  // In a chain, the first payload byte of every column, skipped lazily or not.
+  const std::vector<std::string> chain = FnvFixtureChain();
+  for (size_t s = 0; s < chain.size(); ++s) {
+    auto info = PeekSegment(chain[s]);
+    ASSERT_TRUE(info.has_value());
+    uint64_t payloads = 0;
+    for (const SegmentColumn& col : info->columns) {
+      payloads += col.stored_size;
+    }
+    size_t at = chain[s].size() - payloads;
+    for (const SegmentColumn& col : info->columns) {
+      std::vector<std::string> rotted = chain;
+      rotted[s][at] = static_cast<char>(rotted[s][at] ^ 0x01);
+      at += col.stored_size;
+      Trace t;
+      std::optional<std::string> cached;
+      error.clear();
+      for (size_t i = 0; i <= s; ++i) {
+        if (!DecodeSegmentInto(t, rotted[i], &cached, &error)) {
+          break;
+        }
+      }
+      EXPECT_EQ(error, "column checksum mismatch") << "segment " << s << " column " << int{col.id};
+      error.clear();
+      EXPECT_FALSE(Doc::LoadChain(rotted, "!server", &error).has_value());
+      EXPECT_NE(error.find("column checksum mismatch"), std::string::npos) << error;
+    }
+  }
+}
+
 TEST(SizeModels, OrderingMatchesPaperFigures) {
   // Figure 11: the Automerge-like full-history file is larger than our
   // event-graph encoding. Figure 12: the Yjs-like final-state file is

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -226,6 +227,87 @@ TEST(Rope, MixedWidthBulkConstructionSplitsSafely) {
     Rope rope(text);
     ASSERT_TRUE(rope.CheckInvariants()) << "round " << round;
     ASSERT_EQ(rope.ToString(), text) << "round " << round;
+  }
+}
+
+// Exactly `bytes` bytes of text: `pad` ASCII bytes, then the 9-byte period
+// "é世😀" (2-, 3- and 4-byte scalars) cut back to a scalar boundary, then
+// ASCII up to the length. Over pads 0-8 a cut at any fixed byte offset lands
+// on every position of the period, so a 2-, 3- and 4-byte scalar straddles
+// each 256-byte leaf cut at each of its inner bytes.
+std::string MixedWidthText(size_t bytes, size_t pad) {
+  std::string text(std::min(pad, bytes), 'p');
+  while (text.size() + 9 <= bytes) {
+    text += "\xc3\xa9\xe4\xb8\x96\xf0\x9f\x98\x80";  // é 世 😀
+  }
+  text.append(bytes - text.size(), 'z');
+  return text;
+}
+
+// Rope(text) builds the tree bottom-up with full leaves; an empty rope fed
+// the same text by InsertAt descends and splits. Both must read the same.
+TEST(Rope, BulkBuildReadsLikeInsertAt) {
+  for (size_t bytes : {0, 1, 255, 256, 257, 4096}) {
+    for (size_t pad = 0; pad < 9; ++pad) {
+      const std::string text = MixedWidthText(bytes, pad);
+      ASSERT_TRUE(Utf8IsValid(text));
+      const std::string label = std::to_string(bytes) + " bytes, pad " + std::to_string(pad);
+      Rope built(text);
+      Rope inserted;
+      inserted.InsertAt(0, text);
+      ASSERT_TRUE(built.CheckInvariants()) << label;
+      ASSERT_TRUE(inserted.CheckInvariants()) << label;
+      EXPECT_EQ(built.ToString(), text) << label;
+      EXPECT_EQ(built.ToString(), inserted.ToString()) << label;
+      ASSERT_EQ(built.char_size(), inserted.char_size()) << label;
+      EXPECT_EQ(built.char_size(), Utf8CountChars(text)) << label;
+      EXPECT_EQ(built.byte_size(), inserted.byte_size()) << label;
+      EXPECT_EQ(built.byte_size(), text.size()) << label;
+      const size_t n = built.char_size();
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(built.CharAt(i), inserted.CharAt(i)) << label << ", char " << i;
+      }
+      for (size_t from = 0; from <= n; from += 37) {
+        for (size_t len : {size_t{0}, size_t{1}, size_t{90}, n - from}) {
+          len = std::min(len, n - from);
+          ASSERT_EQ(built.Substring(from, len), inserted.Substring(from, len))
+              << label << ", from " << from << " len " << len;
+        }
+      }
+    }
+  }
+}
+
+// A bulk-built rope starts with full leaves, so its first edit in any leaf
+// splits it. Random edits on it must track the oracle.
+TEST(Rope, BulkBuiltRopeEditsMatchOracle) {
+  const char* snippets[] = {"a", "xyz", "é", "世界", "😀!", "\n", "a longer run of typed text"};
+  for (uint64_t seed : {21, 22, 23}) {
+    Prng rng(seed);
+    const std::string text = MixedWidthText(4096, seed % 9);
+    Rope rope(text);
+    NaiveText naive;
+    naive.InsertAt(0, text);
+    for (int i = 0; i < 3000; ++i) {
+      if (naive.size() == 0 || rng.Chance(0.55)) {
+        size_t pos = rng.Below(naive.size() + 1);
+        const char* snippet = snippets[rng.Below(7)];
+        rope.InsertAt(pos, snippet);
+        naive.InsertAt(pos, snippet);
+      } else {
+        size_t pos = rng.Below(naive.size());
+        size_t count = 1 + rng.Below(std::min<size_t>(naive.size() - pos, 300));
+        rope.RemoveAt(pos, count);
+        naive.RemoveAt(pos, count);
+      }
+      ASSERT_EQ(rope.char_size(), naive.size()) << "seed " << seed << " step " << i;
+      if (i % 100 == 0) {
+        ASSERT_TRUE(rope.CheckInvariants()) << "seed " << seed << " step " << i;
+        ASSERT_EQ(rope.ToString(), naive.ToString()) << "seed " << seed << " step " << i;
+      }
+    }
+    EXPECT_EQ(rope.ToString(), naive.ToString()) << "seed " << seed;
+    EXPECT_TRUE(rope.CheckInvariants()) << "seed " << seed;
   }
 }
 

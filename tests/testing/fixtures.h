@@ -10,6 +10,10 @@
 //     every segment's window, cached document and session checkpoint;
 //   - RewriteColumnsAsLz4 turns raw v2 columns into codec-1 (LZ4) columns;
 //     RewriteColumns, which it is built on, edits directory entries at will.
+//
+// tests/fixtures/v2-fnv holds v2 files written before the XXH32 header flag
+// (FNV-1a column checksums, no directory checksum); its make_fixtures.cc
+// says how they were made.
 
 #ifndef EGWALKER_TESTS_TESTING_FIXTURES_H_
 #define EGWALKER_TESTS_TESTING_FIXTURES_H_
@@ -28,6 +32,7 @@
 #include "lz4/lz4.h"
 #include "util/assert.h"
 #include "util/varint.h"
+#include "util/xxh32.h"
 
 namespace egwalker::testing {
 
@@ -100,12 +105,23 @@ struct StoredColumnEntry {
   std::string stored;
 };
 
+// Header flag bit 5: XXH32 column checksums plus a directory checksum.
+constexpr uint8_t kXxh32Flag = 1 << 5;
+
+// What RewriteColumns writes as the directory checksum of a file with the
+// XXH32 flag (files without it have none).
+enum class DirectoryChecksum {
+  kRecompute,  // The checksum of the rewritten header and directory.
+  kKeep,       // The input's checksum: a directory that changed at rest.
+};
+
 // Re-emits a v2 EGWK file or EGWS segment after `edit` has changed its
-// column entries in place. Stored sizes, offsets and checksums follow the
-// edited payloads; codecs and raw sizes are written as `edit` left them,
-// valid or not.
+// column entries in place. Stored sizes, offsets and column checksums
+// follow the edited payloads, under the hash the header's flag selects;
+// codecs and raw sizes are written as `edit` left them, valid or not.
 template <typename Edit>
-std::string RewriteColumns(const std::string& bytes, Edit edit) {
+std::string RewriteColumns(const std::string& bytes, Edit edit,
+                           DirectoryChecksum dir_checksum = DirectoryChecksum::kRecompute) {
   ByteReader r(bytes);
   std::string magic;
   EGW_CHECK(r.ReadBytes(4, magic) && (magic == "EGWK" || magic == "EGWS"));
@@ -142,6 +158,11 @@ std::string RewriteColumns(const std::string& bytes, Edit edit) {
     r.ReadVarint();  // Offset.
     r.ReadVarint();  // Checksum.
   }
+  const bool xxh32 = (flags & kXxh32Flag) != 0;
+  std::string old_dir_checksum;
+  if (xxh32) {
+    EGW_CHECK(r.ReadBytes(4, old_dir_checksum));
+  }
   for (size_t i = 0; i < cols.size(); ++i) {
     EGW_CHECK(r.ReadBytes(stored_sizes[i], cols[i].stored));
   }
@@ -158,8 +179,16 @@ std::string RewriteColumns(const std::string& bytes, Edit edit) {
     AppendVarint(out, c.raw_size);
     AppendVarint(out, c.stored.size());
     AppendVarint(out, offset);
-    AppendVarint(out, Fnv1a(c.stored));
+    AppendVarint(out, xxh32 ? Xxh32(c.stored) : Fnv1a(c.stored));
     offset += c.stored.size();
+  }
+  if (xxh32 && dir_checksum == DirectoryChecksum::kKeep) {
+    out += old_dir_checksum;
+  } else if (xxh32) {
+    const uint32_t sum = Xxh32(out);
+    for (int shift = 0; shift < 32; shift += 8) {
+      out.push_back(static_cast<char>(sum >> shift));
+    }
   }
   for (const StoredColumnEntry& c : cols) {
     out += c.stored;
