@@ -27,15 +27,15 @@ inline uint32_t Round(uint32_t acc, uint32_t lane) {
 
 }  // namespace
 
-uint32_t Xxh32(std::string_view bytes, uint32_t seed) {
+uint32_t Xxh32(std::string_view bytes) {
   const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
   const unsigned char* const end = p + bytes.size();
   uint32_t h;
   if (bytes.size() >= 16) {
-    uint32_t v1 = seed + kPrime1 + kPrime2;
-    uint32_t v2 = seed + kPrime2;
-    uint32_t v3 = seed;
-    uint32_t v4 = seed - kPrime1;
+    uint32_t v1 = kPrime1 + kPrime2;
+    uint32_t v2 = kPrime2;
+    uint32_t v3 = 0;
+    uint32_t v4 = 0 - kPrime1;
     const unsigned char* const last_stripe = end - 16;
     do {
       v1 = Round(v1, Read32(p));
@@ -46,7 +46,7 @@ uint32_t Xxh32(std::string_view bytes, uint32_t seed) {
     } while (p <= last_stripe);
     h = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) + std::rotl(v4, 18);
   } else {
-    h = seed + kPrime5;
+    h = kPrime5;
   }
   h += static_cast<uint32_t>(bytes.size());
   for (; p + 4 <= end; p += 4) {

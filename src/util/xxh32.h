@@ -5,7 +5,8 @@
 // lanes per 16-byte stripe with independent multiply chains, where FNV-1a
 // carries one multiply per byte; on a cached open that difference was a
 // fifth of the open. The output is the reference algorithm's (test vectors
-// in docs/EGWS.md); words are read little-endian on every host.
+// in docs/EGWS.md) with the seed fixed at 0, as the format fixes it; words
+// are read little-endian on every host.
 
 #ifndef EGWALKER_UTIL_XXH32_H_
 #define EGWALKER_UTIL_XXH32_H_
@@ -15,7 +16,7 @@
 
 namespace egwalker {
 
-uint32_t Xxh32(std::string_view bytes, uint32_t seed = 0);
+uint32_t Xxh32(std::string_view bytes);
 
 }  // namespace egwalker
 

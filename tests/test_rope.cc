@@ -209,13 +209,14 @@ TEST(Rope, ForEachChunkConcatenatesToFullText) {
 }
 
 TEST(Rope, MixedWidthBulkConstructionSplitsSafely) {
-  // Regression: bulk-loading text whose multi-byte scalars straddle leaf
-  // byte midpoints used to overflow a leaf — the split backs down to a
+  // Regression: inserting one long text whose multi-byte scalars straddle
+  // leaf byte midpoints used to overflow a leaf — the split backs down to a
   // scalar boundary, so the right half can exceed half the leaf capacity,
-  // and a maximum-size insert chunk then failed the capacity check. This
-  // is exactly the cached-doc reload path (Rope(text)) for non-ASCII
-  // documents. Build many mixed-width strings with pseudo-random
-  // interleavings and round-trip each.
+  // and a maximum-size insert chunk then failed the capacity check. Build
+  // many mixed-width strings with pseudo-random interleavings and round-trip
+  // each through both bulk paths: one InsertAt into an empty rope (leaf
+  // splits and the chunk capacity check), and Rope(text), the bottom-up
+  // builder of the cached-doc reload path.
   const char* pieces[] = {"a", "bc", "é", "ß", "世", "界", "😀", "𝄞", "\n"};
   Prng rng(77);
   for (int round = 0; round < 200; ++round) {
@@ -224,9 +225,14 @@ TEST(Rope, MixedWidthBulkConstructionSplitsSafely) {
     while (text.size() < target) {
       text += pieces[rng.Below(sizeof(pieces) / sizeof(pieces[0]))];
     }
-    Rope rope(text);
-    ASSERT_TRUE(rope.CheckInvariants()) << "round " << round;
-    ASSERT_EQ(rope.ToString(), text) << "round " << round;
+    Rope built(text);
+    ASSERT_TRUE(built.CheckInvariants()) << "round " << round;
+    ASSERT_EQ(built.ToString(), text) << "round " << round;
+    Rope inserted;
+    inserted.InsertAt(0, text);
+    ASSERT_TRUE(inserted.CheckInvariants()) << "round " << round;
+    ASSERT_EQ(inserted.ToString(), text) << "round " << round;
+    ASSERT_EQ(inserted.char_size(), built.char_size()) << "round " << round;
   }
 }
 

@@ -24,12 +24,12 @@ uint32_t Lane(std::string_view bytes, size_t i) {
 
 }  // namespace
 
-uint32_t Hash(std::string_view bytes, uint32_t seed) {
+uint32_t Hash(std::string_view bytes) {
   const size_t n = bytes.size();
   size_t i = 0;
   uint32_t acc;
   if (n >= 16) {
-    uint32_t lanes[4] = {seed + kPrime1 + kPrime2, seed + kPrime2, seed, seed - kPrime1};
+    uint32_t lanes[4] = {kPrime1 + kPrime2, kPrime2, 0, 0 - kPrime1};
     while (n - i >= 16) {
       for (int l = 0; l < 4; ++l) {
         lanes[l] = lanes[l] + Lane(bytes, i) * kPrime2;
@@ -41,7 +41,7 @@ uint32_t Hash(std::string_view bytes, uint32_t seed) {
     acc = RotateLeft(lanes[0], 1) + RotateLeft(lanes[1], 7) + RotateLeft(lanes[2], 12) +
           RotateLeft(lanes[3], 18);
   } else {
-    acc = seed + kPrime5;
+    acc = kPrime5;
   }
   acc = acc + static_cast<uint32_t>(n);
   while (n - i >= 4) {

@@ -14,7 +14,8 @@
 
 namespace egwalker::xxh32_reference {
 
-uint32_t Hash(std::string_view bytes, uint32_t seed = 0);
+// XXH32 with seed 0, the only seed the format uses.
+uint32_t Hash(std::string_view bytes);
 
 }  // namespace egwalker::xxh32_reference
 
